@@ -10,26 +10,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import spectral
 from . import tolerances as tol
 from .graphcore import (
     Graph,
     check_paley_parameter,
-    complete,
-    cycle,
     delete_edge,
+    family_corpus,
     paley,
-    paley_primes,
     random_graph,
     ring_of_cliques,
     splitmix64,
-)
-from .spectral import (
-    EnergyReport,
-    SuiteResult,
-    eigenvalues,
-    ring_clique_spectrum_closed,
 )
 
 __all__ = [
@@ -40,11 +31,11 @@ __all__ = [
     "e0",
     "edge_deletion_check",
     "energy_ratio",
+    "energy_report",
     "lemma_suite",
     "paley_energy_closed",
     "paley_ratio_closed",
     "paley_ratio_lower",
-    "ratio_row_for_graph",
     "ratio_table",
     "ring_clique_energy_closed",
     "ring_clique_energy_upper",
@@ -61,7 +52,25 @@ def e0(n: int, k: int) -> float:
     return k + math.sqrt(k * (n - 1) * (n - k))
 
 
-def energy_ratio(g: Graph) -> EnergyReport:
+def _e0_and_ratio(energy: float, n: int, k: int) -> tuple[float, float]:
+    bound = e0(n, k)
+    return bound, energy / bound
+
+
+def energy_report(g: Graph) -> spectral.EnergyReport:
+    """Energy and spectral radius of g from one eigensolve, with k, e0 and
+    the ratio where they are defined: k is None for a non-regular graph,
+    and e0 and ratio are None unless k >= 1 (e0 = 0 for k = 0)."""
+    vals = spectral.eigenvalues(g)
+    en = spectral.spectrum_energy(vals)
+    k = g.regularity()
+    bound, ratio = _e0_and_ratio(en, g.n, k) if k else (None, None)
+    return spectral.EnergyReport(
+        energy=en, spectral_radius=float(vals[0]), k=k, e0=bound, ratio=ratio
+    )
+
+
+def energy_ratio(g: Graph) -> spectral.EnergyReport:
     """Energy, spectral radius, e0, and the ratio energy/e0 for a regular graph.
 
     Rejects non-regular graphs and 0-regular graphs (e0 = 0 leaves the ratio
@@ -72,16 +81,7 @@ def energy_ratio(g: Graph) -> EnergyReport:
         raise ValueError("energy ratio needs a regular graph")
     if k == 0:
         raise ValueError("energy ratio is undefined for 0-regular graphs (e0 = 0)")
-    vals = eigenvalues(g)
-    en = float(np.abs(vals).sum())
-    bound = e0(g.n, k)
-    return EnergyReport(
-        energy=en,
-        spectral_radius=float(vals[0]),
-        k=k,
-        e0=bound,
-        ratio=en / bound,
-    )
+    return energy_report(g)
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,8 @@ class EdgeDeletionCheck:
 def edge_deletion_check(g: Graph, e: tuple[int, int]) -> EdgeDeletionCheck:
     """Evaluate E(G) <= E(G - e) + 2 for an edge e of g."""
     reduced = delete_edge(g, e)
-    lhs = float(np.abs(eigenvalues(g)).sum())
-    rhs = float(np.abs(eigenvalues(reduced)).sum()) + 2.0
+    lhs = spectral.energy(g)
+    rhs = spectral.energy(reduced) + 2.0
     return EdgeDeletionCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol.BOUND_SLACK)
 
 
@@ -109,7 +109,8 @@ def paley_energy_closed(p) -> float:
     """Exact Paley energy (p-1)(1 + sqrt(p))/2, from the closed-form spectrum."""
     value = check_paley_parameter(p)
     result = (value - 1) * (1.0 + math.sqrt(value)) / 2.0
-    assert result > value**1.5 / 2.0, "closed-form energy fell below p^(3/2)/2"
+    if not result > value**1.5 / 2.0:
+        raise ArithmeticError("closed-form energy fell below p^(3/2)/2")
     return result
 
 
@@ -129,13 +130,14 @@ def paley_ratio_closed(p) -> float:
     """
     value = check_paley_parameter(p)
     ratio = (1.0 + math.sqrt(value)) / (1.0 + math.sqrt(value + 1))
-    assert paley_ratio_lower(value) < ratio < 1.0, "ratio left its proven bracket"
+    if not paley_ratio_lower(value) < ratio < 1.0:
+        raise ArithmeticError("ratio left its proven bracket")
     return ratio
 
 
 def ring_clique_energy_closed(q: int) -> float:
     """Ring-of-cliques energy summed from the closed-form product spectrum."""
-    return float(np.abs(ring_clique_spectrum_closed(q)).sum())
+    return spectral.spectrum_energy(spectral.ring_clique_spectrum_closed(q))
 
 
 def ring_clique_energy_upper(q: int) -> float:
@@ -164,7 +166,8 @@ def ring_clique_ratio_upper(q: int) -> RatioUpperBounds:
     upper = ring_clique_energy_upper(q)
     tight = upper / e0(q * q, q + 1)
     crude = upper / ((q * q - q - 1) * math.sqrt(q + 1.0))
-    assert tight <= crude, "e0 fell below its lower estimate"
+    if not tight <= crude:
+        raise ArithmeticError("e0 fell below its lower estimate")
     return RatioUpperBounds(tight=tight, crude=crude)
 
 
@@ -188,49 +191,34 @@ class RatioRow:
     paper_bound: float | None = None
 
 
-def _paley_row(param: int, use_closed_form: bool) -> RatioRow:
-    p = check_paley_parameter(param)
-    n, k, m = p, (p - 1) // 2, p * (p - 1) // 4
-    if use_closed_form:
-        en = paley_energy_closed(p)
+def _ratio_row(family: str, param: int, use_closed_form: bool) -> RatioRow:
+    # The closed-form energy is computed once: it is the row's energy in
+    # closed mode, and the ring's closed_ratio divides it by e0.
+    if family == "paley":
+        param = check_paley_parameter(param)
+        n, k, build = param, (param - 1) // 2, paley
+        closed = paley_energy_closed(param)
     else:
-        en = float(np.abs(eigenvalues(paley(p))).sum())
-    bound = e0(n, k)
+        param = int(param)
+        n, k, build = param * param, param + 1, ring_of_cliques
+        closed = ring_clique_energy_closed(param)
+    en = closed if use_closed_form else spectral.energy(build(param))
+    bound, ratio = _e0_and_ratio(en, n, k)
+    if family == "paley":
+        closed_ratio, paper_bound = paley_ratio_closed(param), paley_ratio_lower(param)
+    else:
+        closed_ratio, paper_bound = closed / bound, ring_clique_ratio_upper(param).crude
     return RatioRow(
-        family="paley",
-        param=p,
+        family=family,
+        param=param,
         n=n,
         k=k,
-        m=m,
+        m=n * k // 2,
         energy=en,
         e0=bound,
-        ratio=en / bound,
-        closed_ratio=paley_ratio_closed(p),
-        paper_bound=paley_ratio_lower(p),
-    )
-
-
-def _ring_row(param: int, use_closed_form: bool) -> RatioRow:
-    q = int(param)
-    if q <= 2:
-        raise ValueError(f"ring of cliques needs q >= 3, got {q}")
-    n, k, m = q * q, q + 1, q * q * (q + 1) // 2
-    if use_closed_form:
-        en = ring_clique_energy_closed(q)
-    else:
-        en = float(np.abs(eigenvalues(ring_of_cliques(q))).sum())
-    bound = e0(n, k)
-    return RatioRow(
-        family="ring_of_cliques",
-        param=q,
-        n=n,
-        k=k,
-        m=m,
-        energy=en,
-        e0=bound,
-        ratio=en / bound,
-        closed_ratio=ring_clique_energy_closed(q) / bound,
-        paper_bound=ring_clique_ratio_upper(q).crude,
+        ratio=ratio,
+        closed_ratio=closed_ratio,
+        paper_bound=paper_bound,
     )
 
 
@@ -242,38 +230,23 @@ def ratio_table(family: str, params, use_closed_form: bool = False) -> list[Rati
     graph is built and eigensolved. Any invalid parameter aborts the whole
     table with an error naming it.
     """
-    builders = {"paley": _paley_row, "ring_of_cliques": _ring_row}
-    if family not in builders:
-        raise ValueError(f"family must be one of {sorted(builders)}, got {family!r}")
+    families = ("paley", "ring_of_cliques")
+    if family not in families:
+        raise ValueError(f"family must be one of {list(families)}, got {family!r}")
     rows = []
     for param in params:
         try:
-            rows.append(builders[family](param, use_closed_form))
+            rows.append(_ratio_row(family, param, use_closed_form))
         except ValueError as exc:
             raise ValueError(f"invalid {family} parameter {param}: {exc}") from None
     return rows
-
-
-def ratio_row_for_graph(g: Graph, param: int | None = None) -> RatioRow:
-    """A custom-family row for any regular graph with k >= 1."""
-    report = energy_ratio(g)
-    return RatioRow(
-        family="custom",
-        param=g.n if param is None else int(param),
-        n=g.n,
-        k=report.k,
-        m=g.m,
-        energy=report.energy,
-        e0=report.e0,
-        ratio=report.ratio,
-    )
 
 
 # ---------------------------------------------------------------------------
 # verification suites
 
 
-def lemma_suite(trials: int, seed: int) -> SuiteResult:
+def lemma_suite(trials: int, seed: int) -> spectral.SuiteResult:
     """Edge-deletion inequality on seeded random graphs (n <= 12).
 
     Each trial draws a graph, deletes one random edge, and checks both
@@ -282,7 +255,7 @@ def lemma_suite(trials: int, seed: int) -> SuiteResult:
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    result = SuiteResult("lemma")
+    result = spectral.SuiteResult("lemma")
     stream = splitmix64(seed)
     for trial in range(trials):
         n = 2 + next(stream) % 11
@@ -292,8 +265,8 @@ def lemma_suite(trials: int, seed: int) -> SuiteResult:
         e = g.edges()[next(stream) % g.m]
         check = edge_deletion_check(g, e)
         radius_ok = (
-            float(eigenvalues(delete_edge(g, e))[0])
-            <= float(eigenvalues(g)[0]) + tol.BOUND_SLACK
+            spectral.spectral_radius(delete_edge(g, e))
+            <= spectral.spectral_radius(g) + tol.BOUND_SLACK
         )
         result.check(
             check.holds and radius_ok,
@@ -303,28 +276,20 @@ def lemma_suite(trials: int, seed: int) -> SuiteResult:
     return result
 
 
-def _regular_corpus(paley_max: int, ring_max: int, complete_max: int, cycle_max: int):
-    for p in paley_primes(5, paley_max):
-        yield f"paley({p})", paley(p)
-    for q in range(3, ring_max + 1):
-        yield f"ring_of_cliques({q})", ring_of_cliques(q)
-    for n in range(1, complete_max + 1):
-        yield f"complete({n})", complete(n)
-    for n in range(3, cycle_max + 1):
-        yield f"cycle({n})", cycle(n)
-
-
 def bounds_suite(
     paley_max: int = 200,
     ring_max: int = 12,
     complete_max: int = 50,
     cycle_max: int = 50,
-) -> SuiteResult:
+) -> spectral.SuiteResult:
     """energy <= e0 over the regular corpus, with equality exactly for K_n."""
-    result = SuiteResult("bounds")
-    for label, g in _regular_corpus(paley_max, ring_max, complete_max, cycle_max):
+    result = spectral.SuiteResult("bounds")
+    corpus = family_corpus(
+        paley_max, ring_max, range(1, complete_max + 1), range(3, cycle_max + 1)
+    )
+    for label, g in corpus:
         k = g.regularity()
-        en = float(np.abs(eigenvalues(g)).sum())
+        en = spectral.energy(g)
         bound = e0(g.n, k)
         within = en <= bound + tol.BOUND_SLACK
         equality = abs(en - bound) <= tol.BOUND_SLACK

@@ -91,17 +91,14 @@ def _cmd_gen(args) -> int:
 
 def _cmd_energy(args) -> int:
     g = graphcore.read_edge_list(args.input)
-    vals = spectral.eigenvalues(g)
-    en = float(abs(vals).sum())
-    k = g.regularity()
+    report = bounds.energy_report(g)
     lines = [f"n {g.n}", f"m {g.m}"]
-    lines.append(f"k {k}" if k is not None else "k not regular")
-    lines.append(f"energy {_fmt(en)}")
-    lines.append(f"spectral_radius {_fmt(float(vals[0]))}")
-    if k is not None and k >= 1:
-        bound = bounds.e0(g.n, k)
-        lines.append(f"e0 {_fmt(bound)}")
-        lines.append(f"ratio {_fmt(en / bound)}")
+    lines.append(f"k {report.k}" if report.k is not None else "k not regular")
+    lines.append(f"energy {_fmt(report.energy)}")
+    lines.append(f"spectral_radius {_fmt(report.spectral_radius)}")
+    if report.ratio is not None:
+        lines.append(f"e0 {_fmt(report.e0)}")
+        lines.append(f"ratio {_fmt(report.ratio)}")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 

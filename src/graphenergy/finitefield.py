@@ -8,14 +8,10 @@ false positives anywhere in the supported range).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
     "FIELD_MODULUS_CAP",
-    "PrimeModulus",
+    "check_prime_modulus",
     "is_prime",
-    "is_quadratic_residue",
-    "mod_pow",
     "residue_set",
 ]
 
@@ -60,50 +56,22 @@ def is_prime(u: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
-    """A validated odd prime modulus p, 3 <= p < 2**31."""
+def check_prime_modulus(p: int, what: str = "modulus") -> int:
+    """p as an int, if it is a prime below FIELD_MODULUS_CAP.
 
-    p: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, int):
-            raise TypeError(f"modulus must be an int, got {type(self.p).__name__}")
-        if self.p < 3:
-            raise ValueError(f"modulus must be at least 3, got {self.p}")
-        if self.p >= FIELD_MODULUS_CAP:
-            raise ValueError(f"modulus must be below 2**31, got {self.p}")
-        if not is_prime(self.p):
-            raise ValueError(f"modulus must be prime, got {self.p}")
+    The range is checked first, so a value at or above the cap is reported
+    as too large, whether or not it is prime. `what` names the value in the
+    error messages.
+    """
+    value = int(p)
+    if value >= FIELD_MODULUS_CAP:
+        raise ValueError(f"{what} must be below 2**31, got {value}")
+    if value < 2 or not is_prime(value):
+        raise ValueError(f"{what} must be prime, got {value}")
+    return value
 
 
-def _as_prime(m: PrimeModulus | int) -> int:
-    if isinstance(m, PrimeModulus):
-        return m.p
-    return PrimeModulus(m).p
-
-
-def mod_pow(base: int, exp: int, m: PrimeModulus | int) -> int:
-    """base**exp mod p for a residue base in [0, p)."""
-    p = _as_prime(m)
-    if not 0 <= base < p:
-        raise ValueError(f"base must be a residue in [0, {p}), got {base}")
-    if exp < 0:
-        raise ValueError(f"exponent must be nonnegative, got {exp}")
-    return pow(base, exp, p)
-
-
-def is_quadratic_residue(a: int, m: PrimeModulus | int) -> bool:
-    """Euler's criterion: a^((p-1)/2) == 1 mod p, for nonzero a."""
-    p = _as_prime(m)
-    if a == 0 or a % p == 0:
-        raise ValueError("zero is not a nonzero square; a must be a nonzero residue")
-    if not 1 <= a < p:
-        raise ValueError(f"a must be a residue in [1, {p}), got {a}")
-    return mod_pow(a, (p - 1) // 2, p) == 1
-
-
-def residue_set(m: PrimeModulus | int) -> frozenset[int]:
-    """The nonzero squares mod p, by squaring every nonzero residue."""
-    p = _as_prime(m)
-    return frozenset(x * x % p for x in range(1, p))
+def residue_set(p: int) -> frozenset[int]:
+    """The nonzero squares mod a prime p, by squaring every nonzero residue."""
+    value = check_prime_modulus(p)
+    return frozenset(x * x % value for x in range(1, value))

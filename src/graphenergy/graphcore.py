@@ -11,7 +11,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .finitefield import FIELD_MODULUS_CAP, PrimeModulus, is_prime, residue_set
+from .finitefield import check_prime_modulus, is_prime, residue_set
 
 __all__ = [
     "Edge",
@@ -22,6 +22,7 @@ __all__ = [
     "delete_edge",
     "disjoint_union",
     "empty",
+    "family_corpus",
     "format_edge_list",
     "from_edge_list",
     "paley",
@@ -211,24 +212,21 @@ def permute(g: Graph, perm: Iterable[int]) -> Graph:
 # the two families
 
 
-def check_paley_parameter(p: PrimeModulus | int) -> int:
-    """Validate a Paley parameter: prime, congruent to 1 mod 4, at least 5."""
-    value = p.p if isinstance(p, PrimeModulus) else int(p)
-    if value < 2 or value > 2**63 - 1 or not is_prime(value):
-        raise ValueError(f"Paley parameter must be prime, got {value}")
+def check_paley_parameter(p: int) -> int:
+    """Validate a Paley parameter: a prime below 2**31, congruent to 1 mod 4.
+
+    The smallest such prime is 5, so no separate lower bound is needed.
+    """
+    value = check_prime_modulus(p, "Paley parameter")
     if value % 4 != 1:
         raise ValueError(
             f"Paley parameter must be congruent to 1 mod 4, got {value} "
             "(otherwise the adjacency relation is not symmetric)"
         )
-    if value < 5:
-        raise ValueError(f"Paley parameter must be at least 5, got {value}")
-    if value >= FIELD_MODULUS_CAP:
-        raise ValueError(f"Paley parameter must be below 2**31, got {value}")
     return value
 
 
-def paley(p: PrimeModulus | int) -> Graph:
+def paley(p: int) -> Graph:
     """Paley graph on p vertices: u ~ v iff (u - v) mod p is a nonzero square.
 
     Requires a prime p == 1 (mod 4), p >= 5, which makes -1 a square and the
@@ -254,23 +252,31 @@ def ring_of_cliques(q: int) -> Graph:
     """
     if q <= 2:
         raise ValueError(f"ring of cliques needs q >= 3, got {q}")
-    edges: list[tuple[int, int]] = []
-    for i in range(q):
-        base = i * q
-        for a in range(q):
-            for b in range(a + 1, q):
-                edges.append((base + a, base + b))
-    for i in range(q):
-        nxt = ((i + 1) % q) * q
-        for j in range(q):
-            edges.append((i * q + j, nxt + j))
-    return from_edge_list(q * q, edges)
+    # The Cartesian product C_q x K_q: the cycle joins copies, K_q fills each.
+    eye = np.eye(q, dtype=bool)
+    return Graph(np.kron(cycle(q).adjacency, eye) | np.kron(eye, complete(q).adjacency))
 
 
 def paley_primes(lo: int, hi: int) -> list[int]:
     """All valid Paley parameters in [lo, hi]: primes p == 1 (mod 4), p >= 5."""
     start = max(lo, 5)
     return [p for p in range(start, hi + 1) if p % 4 == 1 and is_prime(p)]
+
+
+def family_corpus(paley_max: int, ring_max: int, complete_sizes, cycle_sizes, empty_sizes=()):
+    """Labeled family graphs for the verification suites, in this order:
+    Paley graphs for every valid p <= paley_max, rings of cliques for
+    q = 3..ring_max, then complete, cycle and empty graphs of the given sizes."""
+    for p in paley_primes(5, paley_max):
+        yield f"paley({p})", paley(p)
+    for q in range(3, ring_max + 1):
+        yield f"ring_of_cliques({q})", ring_of_cliques(q)
+    for n in complete_sizes:
+        yield f"complete({n})", complete(n)
+    for n in cycle_sizes:
+        yield f"cycle({n})", cycle(n)
+    for n in empty_sizes:
+        yield f"empty({n})", empty(n)
 
 
 # ---------------------------------------------------------------------------

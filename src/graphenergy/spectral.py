@@ -9,6 +9,7 @@ spectral radius, and the invariant-checking suites live here too.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,9 +19,7 @@ from . import tolerances as tol
 from .graphcore import (
     Graph,
     check_paley_parameter,
-    complete,
-    cycle,
-    empty,
+    family_corpus,
     paley,
     paley_primes,
     random_graph,
@@ -39,6 +38,7 @@ __all__ = [
     "paley_spectrum_closed",
     "ring_clique_spectrum_closed",
     "spectral_radius",
+    "spectrum_energy",
     "trace_suite",
 ]
 
@@ -141,9 +141,14 @@ def eigenvalues(g: Graph) -> np.ndarray:
     return jacobi_eigenvalues(g.adjacency)
 
 
+def spectrum_energy(vals) -> float:
+    """Energy of a spectrum: the sum of its absolute values."""
+    return float(np.abs(vals).sum())
+
+
 def energy(g: Graph) -> float:
     """Graph energy: the sum of absolute adjacency eigenvalues."""
-    return float(np.abs(eigenvalues(g)).sum())
+    return spectrum_energy(eigenvalues(g))
 
 
 def spectral_radius(g: Graph) -> float:
@@ -222,20 +227,10 @@ class SuiteResult:
         return f"SuiteResult({self.name}: {self.passed}/{self.total} pass)"
 
 
-def _generated_corpus(trials: int, seed: int):
-    """Family graphs with n <= 100 plus seeded random graphs, labeled."""
-    for p in paley_primes(5, 97):
-        yield f"paley({p})", paley(p)
-    for q in range(3, 11):
-        yield f"ring_of_cliques({q})", ring_of_cliques(q)
-    for n in (1, 2, 3, 5, 10, 25):
-        yield f"complete({n})", complete(n)
-    for n in (3, 4, 5, 10, 25):
-        yield f"cycle({n})", cycle(n)
-    for n in (1, 4):
-        yield f"empty({n})", empty(n)
+def _random_graphs(trials: int, seed: int):
+    """`trials` seeded random graphs with n <= 12, labeled."""
     stream = splitmix64(seed)
-    for t in range(trials):
+    for _ in range(trials):
         n = 1 + next(stream) % 12
         m = next(stream) % (n * (n - 1) // 2 + 1)
         s = next(stream)
@@ -244,9 +239,10 @@ def _generated_corpus(trials: int, seed: int):
 
 def trace_suite(trials: int = 100, seed: int = 0) -> SuiteResult:
     """Check the two trace identities, sum(l) = 0 and sum(l^2) = 2m, over
-    the generated corpus and `trials` seeded random graphs."""
+    the 32 family graphs with n <= 100 and `trials` seeded random graphs."""
     result = SuiteResult("trace")
-    for label, g in _generated_corpus(trials, seed):
+    families = family_corpus(97, 10, (1, 2, 3, 5, 10, 25), (3, 4, 5, 10, 25), (1, 4))
+    for label, g in itertools.chain(families, _random_graphs(trials, seed)):
         vals = eigenvalues(g)
         trace = float(vals.sum())
         sumsq = float((vals * vals).sum())

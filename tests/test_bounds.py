@@ -16,7 +16,6 @@ from graphenergy.bounds import (
     paley_energy_closed,
     paley_ratio_closed,
     paley_ratio_lower,
-    ratio_row_for_graph,
     ratio_table,
     ring_clique_energy_closed,
     ring_clique_energy_upper,
@@ -24,7 +23,6 @@ from graphenergy.bounds import (
 )
 from graphenergy.graphcore import (
     complete,
-    cycle,
     empty,
     from_edge_list,
     paley,
@@ -275,14 +273,6 @@ def test_ratio_table_names_offending_param():
         ratio_table("ring_of_cliques", [3, 2])
     with pytest.raises(ValueError, match="family"):
         ratio_table("nonsense", [3])
-
-
-def test_ratio_row_for_graph_custom_family():
-    row = ratio_row_for_graph(cycle(5))
-    assert row.family == "custom"
-    assert row.param == 5
-    assert row.closed_ratio is None and row.paper_bound is None
-    assert row.ratio == pytest.approx(energy(cycle(5)) / e0(5, 2), abs=1e-12)
 
 
 def test_paley_rows_carry_chain_bound():

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, and determinism."""
 
+import hashlib
 import math
 
 import pytest
@@ -108,6 +109,14 @@ def test_energy_zero_regular_graph_has_no_ratio_line(tmp_path, capsys):
     assert "ratio" not in out and "e0" not in out
 
 
+def test_energy_zero_regular_graph_on_four_vertices(tmp_path, capsys):
+    path = tmp_path / "empty4.txt"
+    path.write_text("4 0\n")
+    code, out, _ = run(capsys, "energy", str(path))
+    assert code == 0
+    assert out == "n 4\nm 0\nk 0\nenergy 0\nspectral_radius 0\n"
+
+
 def test_energy_missing_file(capsys):
     code, _, err = run(capsys, "energy", "/nonexistent/file.txt")
     assert code == 1 and "error" in err
@@ -180,6 +189,26 @@ def test_ratio_table_numeric_and_closed_agree(capsys):
         ratio_n = float(line_n.split(",")[7])
         ratio_c = float(line_c.split(",")[7])
         assert ratio_n == pytest.approx(ratio_c, abs=1e-7)
+
+
+# sha256 of stdout: pins every digit, row and edge of these outputs.
+GOLDEN_STDOUT = {
+    ("ratio-table", "paley", "5..401", "--mode", "closed"):
+        "6588fa7fb0a83b521b30c8e1b08543cfe93391bf71a6abfcfe7885c8413d7e21",
+    ("ratio-table", "ring-clique", "3..40", "--mode", "closed"):
+        "cf63e6777ba4597bc3d55f8a8ec550931f129fc58a766aef30c869d1a01620c4",
+    ("ratio-table", "ring-clique", "3..6", "--mode", "numeric"):
+        "835e3acbff0f9b3983a5221e2ab84f242095d875264fcbc1dab9d6f4e39d0c57",
+    ("gen", "ring-clique", "5"):
+        "66da848d2cc1810b8ccaaef01b166e6c988ebaceccd3c08477bc67f98e790ab5",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT))
+def test_output_matches_golden_digest(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == GOLDEN_STDOUT[argv]
 
 
 # ---------------------------------------------------------------------------

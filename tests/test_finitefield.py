@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 
 from graphenergy.finitefield import (
     FIELD_MODULUS_CAP,
-    PrimeModulus,
+    check_prime_modulus,
     is_prime,
-    is_quadratic_residue,
-    mod_pow,
     residue_set,
 )
 
@@ -76,69 +74,27 @@ def test_is_prime_agrees_with_trial_division(u):
 
 
 # ---------------------------------------------------------------------------
-# PrimeModulus
+# prime-modulus check
 
 
 def test_prime_modulus_accepts_primes():
-    assert PrimeModulus(3).p == 3
-    assert PrimeModulus(13).p == 13
-    assert PrimeModulus(2**31 - 1).p == 2**31 - 1
+    assert check_prime_modulus(2) == 2
+    assert check_prime_modulus(13) == 13
+    assert check_prime_modulus(2**31 - 1) == 2**31 - 1
 
 
 def test_prime_modulus_rejections():
+    with pytest.raises(ValueError, match="modulus must be prime"):
+        check_prime_modulus(12)
     with pytest.raises(ValueError, match="prime"):
-        PrimeModulus(12)
-    with pytest.raises(ValueError, match="at least 3"):
-        PrimeModulus(2)
-    with pytest.raises(ValueError, match="below 2\\*\\*31"):
-        PrimeModulus(FIELD_MODULUS_CAP + 11)
-    with pytest.raises(TypeError):
-        PrimeModulus(13.0)
-
-
-def test_operations_accept_wrapper_and_plain_int():
-    m = PrimeModulus(13)
-    assert mod_pow(2, 12, m) == mod_pow(2, 12, 13) == 1
-    assert is_quadratic_residue(3, m)
-    assert residue_set(m) == residue_set(13)
-
-
-# ---------------------------------------------------------------------------
-# mod_pow
-
-
-def test_mod_pow_examples():
-    assert mod_pow(2, 12, 13) == 1  # Fermat
-    assert mod_pow(4, 1, 13) == 4
-    acc = 1
-    for _ in range(6):  # oracle: repeated multiplication
-        acc = acc * 3 % 13
-    assert acc == 1
-    assert mod_pow(3, 6, 13) == acc
-
-
-def test_mod_pow_matches_repeated_multiplication():
-    for p in (5, 13, 29):
-        for base in range(p):
-            acc = 1
-            for exp in range(12):
-                assert mod_pow(base, exp, p) == acc
-                acc = acc * base % p
-
-
-def test_mod_pow_validates_inputs():
-    with pytest.raises(ValueError):
-        mod_pow(13, 2, 13)
-    with pytest.raises(ValueError):
-        mod_pow(-1, 2, 13)
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 13)
-
-
-def test_fermat_little_theorem():
-    for p in (5, 13, 17, 29):
-        for a in range(1, p):
-            assert mod_pow(a, p - 1, p) == 1
+        check_prime_modulus(1)
+    with pytest.raises(ValueError, match="prime"):
+        check_prime_modulus(-7)
+    # The range is checked before primality: composite, prime, and prime
+    # beyond what Miller-Rabin accepts are all reported as too large.
+    for value in (FIELD_MODULUS_CAP, FIELD_MODULUS_CAP + 11, 2**61 - 1, 2**89 - 1):
+        with pytest.raises(ValueError, match="below 2\\*\\*31"):
+            check_prime_modulus(value)
 
 
 # ---------------------------------------------------------------------------
@@ -151,18 +107,9 @@ def test_residue_set_examples():
     assert residue_set(3) == frozenset({1})
 
 
-def test_is_quadratic_residue_examples():
-    assert is_quadratic_residue(1, 13)
-    assert not is_quadratic_residue(2, 13)
-    assert is_quadratic_residue(3, 13)  # 4**2 = 16 = 3 mod 13
-
-
 def test_euler_criterion_agrees_with_squaring_for_all_p_below_200():
     for p in odd_primes_below(200):
-        squares = brute_force_squares(p)
-        assert residue_set(p) == frozenset(squares)
-        for a in range(1, p):
-            assert is_quadratic_residue(a, p) == (a in squares), (a, p)
+        assert residue_set(p) == frozenset(brute_force_squares(p))
 
 
 def test_residue_set_cardinality():
@@ -175,11 +122,3 @@ def test_negation_symmetry_for_p_congruent_1_mod_4():
         rs = residue_set(p)
         assert all((p - a) in rs for a in rs)
 
-
-def test_is_quadratic_residue_rejects_zero_and_out_of_range():
-    with pytest.raises(ValueError, match="nonzero"):
-        is_quadratic_residue(0, 13)
-    with pytest.raises(ValueError):
-        is_quadratic_residue(13, 13)
-    with pytest.raises(ValueError):
-        is_quadratic_residue(-3, 13)

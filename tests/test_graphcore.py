@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphenergy.finitefield import PrimeModulus
 from graphenergy.graphcore import (
     Graph,
     complete,
@@ -184,8 +183,10 @@ def test_paley_17():
     assert (g.regularity(), g.m) == (8, 68)
 
 
-def test_paley_accepts_prime_modulus():
-    assert paley(PrimeModulus(13)) == paley(13)
+def test_paley_rejects_large_mersenne_prime_by_size():
+    # 2**89 - 1 is prime; the size limit is what rules it out.
+    with pytest.raises(ValueError, match="below 2\\*\\*31"):
+        paley(2**89 - 1)
 
 
 def test_paley_parameter_rejections():

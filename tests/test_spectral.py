@@ -246,6 +246,12 @@ def test_trace_suite_passes():
     assert result.passed == result.total > 25
 
 
+def test_trace_suite_case_count_is_32_family_graphs_plus_trials():
+    # 11 Paley primes <= 97, rings q = 3..10, 6 complete, 5 cycles, 2 empty
+    assert trace_suite(trials=0, seed=0).total == 32
+    assert trace_suite(trials=3, seed=5).total == 32 + 3
+
+
 def test_closed_forms_suite_passes_small():
     result = closed_forms_suite(paley_max=30, ring_max=5)
     assert result.ok
