@@ -15,6 +15,7 @@ from . import tolerances as tol
 from .graphcore import (
     Graph,
     check_paley_parameter,
+    check_ring_parameter,
     delete_edge,
     family_corpus,
     paley,
@@ -129,8 +130,9 @@ def paley_ratio_closed(p) -> float:
     chain bound and 1.
     """
     value = check_paley_parameter(p)
-    ratio = (1.0 + math.sqrt(value)) / (1.0 + math.sqrt(value + 1))
-    if not paley_ratio_lower(value) < ratio < 1.0:
+    root = math.sqrt(value)
+    ratio = (1.0 + root) / (1.0 + math.sqrt(value + 1))
+    if not root / (root + 2.0) < ratio < 1.0:
         raise ArithmeticError("ratio left its proven bracket")
     return ratio
 
@@ -142,8 +144,7 @@ def ring_clique_energy_closed(q: int) -> float:
 
 def ring_clique_energy_upper(q: int) -> float:
     """Edge-deletion upper bound 4q^2 - 2q on the ring-of-cliques energy."""
-    if q <= 2:
-        raise ValueError(f"ring of cliques needs q >= 3, got {q}")
+    q = check_ring_parameter(q)
     return float(4 * q * q - 2 * q)
 
 
@@ -187,27 +188,25 @@ class RatioRow:
     energy: float
     e0: float
     ratio: float
-    closed_ratio: float | None = None
-    paper_bound: float | None = None
+    closed_ratio: float
+    paper_bound: float
 
 
 def _ratio_row(family: str, param: int, use_closed_form: bool) -> RatioRow:
-    # The closed-form energy is computed once: it is the row's energy in
-    # closed mode, and the ring's closed_ratio divides it by e0.
+    # The closed-form call checks param, so int() after it is exact; its
+    # energy is computed once, for closed mode and the ring's closed_ratio.
     if family == "paley":
-        param = check_paley_parameter(param)
-        n, k, build = param, (param - 1) // 2, paley
         closed = paley_energy_closed(param)
-    else:
         param = int(param)
-        n, k, build = param * param, param + 1, ring_of_cliques
-        closed = ring_clique_energy_closed(param)
-    en = closed if use_closed_form else spectral.energy(build(param))
-    bound, ratio = _e0_and_ratio(en, n, k)
-    if family == "paley":
+        n, k, build = param, (param - 1) // 2, paley
         closed_ratio, paper_bound = paley_ratio_closed(param), paley_ratio_lower(param)
     else:
-        closed_ratio, paper_bound = closed / bound, ring_clique_ratio_upper(param).crude
+        closed = ring_clique_energy_closed(param)
+        param = int(param)
+        n, k, build = param * param, param + 1, ring_of_cliques
+        closed_ratio, paper_bound = closed / e0(n, k), ring_clique_ratio_upper(param).crude
+    en = closed if use_closed_form else spectral.energy(build(param))
+    bound, ratio = _e0_and_ratio(en, n, k)
     return RatioRow(
         family=family,
         param=param,

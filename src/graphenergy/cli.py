@@ -9,6 +9,7 @@ error or failed verification, 2 eigensolver non-convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 
@@ -18,7 +19,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
-CSV_HEADER = "family,param,n,k,m,energy,e0,ratio,closed_ratio,paper_bound"
+CSV_HEADER = ",".join(field.name for field in dataclasses.fields(bounds.RatioRow))
 
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
@@ -115,23 +116,9 @@ def _cmd_ratio_table(args) -> int:
         raise ValueError(f"no valid {args.family} parameters in {lo}..{hi}")
     rows = bounds.ratio_table(family, params, use_closed_form=(args.mode == "closed"))
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.family,
-                    str(r.param),
-                    str(r.n),
-                    str(r.k),
-                    str(r.m),
-                    _fmt(r.energy),
-                    _fmt(r.e0),
-                    _fmt(r.ratio),
-                    _fmt(r.closed_ratio) if r.closed_ratio is not None else "",
-                    _fmt(r.paper_bound) if r.paper_bound is not None else "",
-                ]
-            )
-        )
+    for row in rows:
+        cells = vars(row).values()
+        lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in cells))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -59,11 +59,13 @@ def is_prime(u: int) -> bool:
 def check_prime_modulus(p: int, what: str = "modulus") -> int:
     """p as an int, if it is a prime below FIELD_MODULUS_CAP.
 
-    The range is checked first, so a value at or above the cap is reported
-    as too large, whether or not it is prime. `what` names the value in the
-    error messages.
+    A non-integral value is rejected, not truncated. The range is checked
+    before primality, so a value at or above the cap is reported as too
+    large, prime or not. `what` names the value in the error messages.
     """
     value = int(p)
+    if value != p:
+        raise ValueError(f"{what} must be an integer, got {p}")
     if value >= FIELD_MODULUS_CAP:
         raise ValueError(f"{what} must be below 2**31, got {value}")
     if value < 2 or not is_prime(value):

@@ -11,12 +11,13 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .finitefield import check_prime_modulus, is_prime, residue_set
+from .finitefield import FIELD_MODULUS_CAP, check_prime_modulus, is_prime, residue_set
 
 __all__ = [
     "Edge",
     "Graph",
     "check_paley_parameter",
+    "check_ring_parameter",
     "complete",
     "cycle",
     "delete_edge",
@@ -164,16 +165,14 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     adj = np.zeros((n, n), dtype=bool)
-    seen: set[Edge] = set()
     for e in edges:
-        edge = _as_edge(e)
-        if edge.u < 0 or edge.v >= n:
-            raise ValueError(f"edge ({edge.u}, {edge.v}) has an endpoint outside 0..{n - 1}")
-        if edge in seen:
-            raise ValueError(f"duplicate edge ({edge.u}, {edge.v})")
-        seen.add(edge)
-        adj[edge.u, edge.v] = True
-        adj[edge.v, edge.u] = True
+        u, v = _as_edge(e)
+        if u < 0 or v >= n:
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+        if adj[u, v]:
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        adj[u, v] = True
+        adj[v, u] = True
     return Graph(adj)
 
 
@@ -226,6 +225,16 @@ def check_paley_parameter(p: int) -> int:
     return value
 
 
+def check_ring_parameter(q: int) -> int:
+    """Validate a ring-of-cliques parameter: an integer q >= 3."""
+    value = int(q)
+    if value != q:
+        raise ValueError(f"ring of cliques needs an integer q, got {q}")
+    if value <= 2:
+        raise ValueError(f"ring of cliques needs q >= 3, got {value}")
+    return value
+
+
 def paley(p: int) -> Graph:
     """Paley graph on p vertices: u ~ v iff (u - v) mod p is a nonzero square.
 
@@ -250,17 +259,17 @@ def ring_of_cliques(q: int) -> Graph:
     q**2 (q+1) / 2 edges. Needs q >= 3: at q = 2 the two ring edges between
     the copies coincide.
     """
-    if q <= 2:
-        raise ValueError(f"ring of cliques needs q >= 3, got {q}")
+    q = check_ring_parameter(q)
     # The Cartesian product C_q x K_q: the cycle joins copies, K_q fills each.
     eye = np.eye(q, dtype=bool)
     return Graph(np.kron(cycle(q).adjacency, eye) | np.kron(eye, complete(q).adjacency))
 
 
 def paley_primes(lo: int, hi: int) -> list[int]:
-    """All valid Paley parameters in [lo, hi]: primes p == 1 (mod 4), p >= 5."""
+    """All valid Paley parameters in [lo, hi]: primes p == 1 (mod 4), 5 <= p < 2**31."""
     start = max(lo, 5)
-    return [p for p in range(start, hi + 1) if p % 4 == 1 and is_prime(p)]
+    stop = min(hi, FIELD_MODULUS_CAP - 1)
+    return [p for p in range(start, stop + 1) if p % 4 == 1 and is_prime(p)]
 
 
 def family_corpus(paley_max: int, ring_max: int, complete_sizes, cycle_sizes, empty_sizes=()):

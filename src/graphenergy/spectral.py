@@ -19,6 +19,7 @@ from . import tolerances as tol
 from .graphcore import (
     Graph,
     check_paley_parameter,
+    check_ring_parameter,
     family_corpus,
     paley,
     paley_primes,
@@ -113,6 +114,8 @@ def jacobi_eigenvalues(
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite (no inf or NaN)")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
     n = a.shape[0]
@@ -183,8 +186,7 @@ def ring_clique_spectrum_closed(q: int) -> np.ndarray:
     The identification is validated against the eigensolver by
     closed_forms_suite and the test suite before anything relies on it.
     """
-    if q <= 2:
-        raise ValueError(f"ring of cliques needs q >= 3, got {q}")
+    q = check_ring_parameter(q)
     ring = 2.0 * np.cos(2.0 * np.pi * np.arange(q) / q)
     vals = np.concatenate([ring + (q - 1.0), np.repeat(ring - 1.0, q - 1)])
     return np.sort(vals)[::-1].copy()

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphenergy import bounds
 from graphenergy import tolerances as tol
 from graphenergy.bounds import (
     bounds_suite,
@@ -30,7 +32,7 @@ from graphenergy.graphcore import (
     random_graph,
     ring_of_cliques,
 )
-from graphenergy.spectral import energy
+from graphenergy.spectral import energy, paley_spectrum_closed, ring_clique_spectrum_closed
 
 
 def path3():
@@ -275,11 +277,57 @@ def test_ratio_table_names_offending_param():
         ratio_table("nonsense", [3])
 
 
+def test_paley_ratio_row_checks_its_prime_three_times(monkeypatch):
+    # paley_energy_closed, paley_ratio_closed and paley_ratio_lower, once each
+    calls = []
+    check = bounds.check_paley_parameter
+
+    def counting_check(p):
+        calls.append(p)
+        return check(p)
+
+    monkeypatch.setattr(bounds, "check_paley_parameter", counting_check)
+    ratio_table("paley", [13, 17], use_closed_form=True)
+    assert calls == [13, 13, 13, 17, 17, 17]
+
+
 def test_paley_rows_carry_chain_bound():
     row, = ratio_table("paley", [13], use_closed_form=True)
     assert row.closed_ratio == pytest.approx(0.9712956672724611, abs=1e-12)
     assert row.paper_bound == pytest.approx(0.6432108276746691, abs=1e-12)
     assert row.ratio > row.paper_bound
+
+
+# ---------------------------------------------------------------------------
+# family parameters
+
+FAMILY_ENTRY_POINTS = {
+    "paley": (paley, 13),
+    "paley_spectrum_closed": (lambda p: paley_spectrum_closed(p).tolist(), 13),
+    "paley_energy_closed": (paley_energy_closed, 13),
+    "ratio_table paley": (lambda p: ratio_table("paley", [p]), 13),
+    "ring_of_cliques": (ring_of_cliques, 3),
+    "ring_clique_spectrum_closed": (lambda q: ring_clique_spectrum_closed(q).tolist(), 3),
+    "ring_clique_energy_closed": (ring_clique_energy_closed, 3),
+    "ring_clique_energy_upper": (ring_clique_energy_upper, 3),
+    "ratio_table ring_of_cliques": (lambda q: ratio_table("ring_of_cliques", [q]), 3),
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_ENTRY_POINTS)
+def test_family_parameter_must_be_integral(name):
+    fn, good = FAMILY_ENTRY_POINTS[name]
+    for bad in (good + 0.5, good + 0.9):
+        with pytest.raises(ValueError, match="integer"):
+            fn(bad)
+    assert fn(np.int64(good)) == fn(good)
+
+
+def test_ring_entry_points_share_one_message():
+    for fn in (ring_of_cliques, ring_clique_spectrum_closed, ring_clique_energy_upper):
+        with pytest.raises(ValueError) as info:
+            fn(2)
+        assert str(info.value) == "ring of cliques needs q >= 3, got 2"
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,8 @@ def test_ratio_table_filters_to_valid_primes(capsys):
     code, out, _ = run(capsys, "ratio-table", "paley", "5..20", "--mode", "closed")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == cli.CSV_HEADER
+    # a literal: CSV_HEADER is derived from RatioRow, so comparing with it pins nothing
+    assert lines[0] == "family,param,n,k,m,energy,e0,ratio,closed_ratio,paper_bound"
     assert [line.split(",")[1] for line in lines[1:]] == ["5", "13", "17"]
 
 
@@ -168,6 +169,15 @@ def test_ratio_table_empty_range_fails(capsys):
     assert code == 1 and "no valid" in err
     code, _, err = run(capsys, "ratio-table", "ring-clique", "1..2")
     assert code == 1
+
+
+def test_ratio_table_paley_range_stops_below_field_cap(capsys):
+    code, out, _ = run(capsys, "ratio-table", "paley", "2147483000..2147484000", "--mode", "closed")
+    assert code == 0
+    params = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
+    assert params and max(params) < 2**31
+    code, _, err = run(capsys, "ratio-table", "paley", "2147483700..2147484000", "--mode", "closed")
+    assert code == 1 and "no valid paley parameters" in err
 
 
 def test_ratio_table_bad_range_syntax(capsys):

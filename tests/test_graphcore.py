@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from graphenergy.graphcore import (
     Graph,
+    check_paley_parameter,
     complete,
     cycle,
     delete_edge,
@@ -72,6 +73,13 @@ def test_from_edge_list_distinct_errors():
         from_edge_list(2, [(0, 5)])
     with pytest.raises(ValueError, match="duplicate"):
         from_edge_list(3, [(0, 1), (1, 0)])
+    # checked in this order: loop, then range, then duplicate
+    with pytest.raises(ValueError, match="loop"):
+        from_edge_list(2, [(5, 5)])
+    with pytest.raises(ValueError, match="outside"):
+        from_edge_list(2, [(0, 5), (0, 5)])
+    with pytest.raises(ValueError, match="duplicate"):
+        from_edge_list(3, [(0, 2), (1, 2), (2, 0)])
 
 
 def test_graph_constructor_validation():
@@ -211,6 +219,13 @@ def test_paley_primes():
     assert paley_primes(5, 20) == [5, 13, 17]
     assert paley_primes(14, 16) == []
     assert paley_primes(0, 13) == [5, 13]
+
+
+def test_paley_primes_stop_below_field_cap():
+    primes = paley_primes(2**31 - 1000, 2**31 + 1000)
+    assert primes and max(primes) < 2**31
+    assert all(check_paley_parameter(p) == p for p in primes)
+    assert paley_primes(2**31, 2**31 + 1000) == []
 
 
 def test_ring_of_cliques_small():

@@ -75,6 +75,16 @@ def test_jacobi_input_validation():
     assert jacobi_eigenvalues(np.zeros((0, 0))).size == 0
 
 
+def test_jacobi_rejects_infinite_entries():
+    with pytest.raises(ValueError, match="finite"):
+        jacobi_eigenvalues([[0.0, math.inf], [math.inf, 0.0]])
+
+
+def test_jacobi_reports_nan_as_non_finite_not_asymmetric():
+    with pytest.raises(ValueError, match="finite"):
+        jacobi_eigenvalues([[math.nan, 1.0], [1.0, 0.0]])
+
+
 def test_jacobi_reports_non_convergence_instead_of_garbage():
     with pytest.raises(ConvergenceError):
         jacobi_eigenvalues(complete(3).adjacency, max_sweeps=0)
