@@ -10,6 +10,7 @@ from __future__ import annotations
 
 __all__ = [
     "FIELD_MODULUS_CAP",
+    "check_integer",
     "check_prime_modulus",
     "is_prime",
     "residue_set",
@@ -56,6 +57,18 @@ def is_prime(u: int) -> bool:
     return True
 
 
+def check_integer(x, what: str) -> int:
+    """x as an int, if it is integral; otherwise (inf and NaN included) a
+    ValueError naming `what`, never a truncated value."""
+    try:
+        value = int(x)
+        if value == x:
+            return value
+    except (OverflowError, ValueError):
+        pass
+    raise ValueError(f"{what} must be an integer, got {x}")
+
+
 def check_prime_modulus(p: int, what: str = "modulus") -> int:
     """p as an int, if it is a prime below FIELD_MODULUS_CAP.
 
@@ -63,9 +76,7 @@ def check_prime_modulus(p: int, what: str = "modulus") -> int:
     before primality, so a value at or above the cap is reported as too
     large, prime or not. `what` names the value in the error messages.
     """
-    value = int(p)
-    if value != p:
-        raise ValueError(f"{what} must be an integer, got {p}")
+    value = check_integer(p, what)
     if value >= FIELD_MODULUS_CAP:
         raise ValueError(f"{what} must be below 2**31, got {value}")
     if value < 2 or not is_prime(value):

@@ -11,7 +11,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .finitefield import FIELD_MODULUS_CAP, check_prime_modulus, is_prime, residue_set
+from .finitefield import FIELD_MODULUS_CAP, check_integer, check_prime_modulus
+from .finitefield import is_prime, residue_set
 
 __all__ = [
     "Edge",
@@ -227,9 +228,7 @@ def check_paley_parameter(p: int) -> int:
 
 def check_ring_parameter(q: int) -> int:
     """Validate a ring-of-cliques parameter: an integer q >= 3."""
-    value = int(q)
-    if value != q:
-        raise ValueError(f"ring of cliques needs an integer q, got {q}")
+    value = check_integer(q, "ring of cliques parameter q")
     if value <= 2:
         raise ValueError(f"ring of cliques needs q >= 3, got {value}")
     return value

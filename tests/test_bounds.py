@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphenergy import bounds
+from graphenergy import bounds, spectral
 from graphenergy import tolerances as tol
 from graphenergy.bounds import (
     bounds_suite,
@@ -125,6 +125,22 @@ def test_edge_deletion_check_triangle():
     assert check.lhs == pytest.approx(4.0, abs=1e-10)
     assert check.rhs == pytest.approx(2.0 + 2 * math.sqrt(2), abs=1e-10)
     assert check.holds
+
+
+def test_edge_deletion_check_fails_when_radius_grows(monkeypatch):
+    # E(K3) <= E(P3) + 2 still holds, but l1(G - e) > l1(G) must fail it
+    real = spectral.eigenvalues
+
+    def radius_grows(g):
+        vals = real(g)
+        if g.m == 2:
+            vals[0] = real(complete(3))[0] + 1e-6
+        return vals
+
+    monkeypatch.setattr("graphenergy.spectral.eigenvalues", radius_grows)
+    check = edge_deletion_check(complete(3), (0, 1))
+    assert check.lhs <= check.rhs
+    assert not check.holds
 
 
 def test_edge_deletion_check_rejects_absent_edge():
@@ -317,7 +333,7 @@ FAMILY_ENTRY_POINTS = {
 @pytest.mark.parametrize("name", FAMILY_ENTRY_POINTS)
 def test_family_parameter_must_be_integral(name):
     fn, good = FAMILY_ENTRY_POINTS[name]
-    for bad in (good + 0.5, good + 0.9):
+    for bad in (good + 0.5, good + 0.9, math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="integer"):
             fn(bad)
     assert fn(np.int64(good)) == fn(good)
@@ -338,6 +354,19 @@ def test_lemma_suite_passes():
     result = lemma_suite(trials=30, seed=42)
     assert result.ok
     assert result.passed == result.total == 30
+
+
+def test_lemma_suite_solves_two_spectra_per_trial(monkeypatch):
+    calls = []
+    real = spectral.jacobi_eigenvalues
+
+    def counting_solve(matrix, **kwargs):
+        calls.append(len(matrix))
+        return real(matrix, **kwargs)
+
+    monkeypatch.setattr("graphenergy.spectral.jacobi_eigenvalues", counting_solve)
+    assert lemma_suite(trials=25, seed=3).ok
+    assert len(calls) == 50
 
 
 def test_lemma_suite_rejects_bad_trials():

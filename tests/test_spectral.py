@@ -85,6 +85,20 @@ def test_jacobi_reports_nan_as_non_finite_not_asymmetric():
         jacobi_eigenvalues([[math.nan, 1.0], [1.0, 0.0]])
 
 
+@pytest.mark.parametrize("s", [1e300, 1e-300, 2.0**500, 2.0**-500])
+def test_jacobi_scales_extreme_entries(s):
+    vals = jacobi_eigenvalues([[0.0, s], [s, 0.0]])
+    assert vals.tolist() == pytest.approx([s, -s], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("shift", [500, -500])
+def test_jacobi_matches_lapack_after_power_of_two_scaling(shift):
+    a = np.random.default_rng(7).standard_normal((12, 12))
+    a = np.ldexp(a + a.T, shift)
+    ref = np.sort(np.linalg.eigvalsh(a))[::-1]
+    assert np.abs(jacobi_eigenvalues(a) - ref).max() < np.ldexp(1e-10, shift)
+
+
 def test_jacobi_reports_non_convergence_instead_of_garbage():
     with pytest.raises(ConvergenceError):
         jacobi_eigenvalues(complete(3).adjacency, max_sweeps=0)
