@@ -11,9 +11,7 @@ from __future__ import annotations
 __all__ = [
     "FIELD_MODULUS_CAP",
     "check_integer",
-    "check_prime_modulus",
     "is_prime",
-    "residue_set",
 ]
 
 # Witnesses proven sufficient for all n < 2**64.
@@ -21,8 +19,8 @@ _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MAX_TESTABLE = 2**63 - 1
 
-# Keeps every product of two residues inside 64 bits on any backend; Paley
-# experiments stay orders of magnitude below this anyway.
+# Below this bound the square of a residue is below 2**62, so paley() can
+# square residues exactly in int64; Paley experiments stay far below it.
 FIELD_MODULUS_CAP = 2**31
 
 
@@ -68,23 +66,3 @@ def check_integer(x, what: str) -> int:
         pass
     raise ValueError(f"{what} must be an integer, got {x}")
 
-
-def check_prime_modulus(p: int, what: str = "modulus") -> int:
-    """p as an int, if it is a prime below FIELD_MODULUS_CAP.
-
-    A non-integral value is rejected, not truncated. The range is checked
-    before primality, so a value at or above the cap is reported as too
-    large, prime or not. `what` names the value in the error messages.
-    """
-    value = check_integer(p, what)
-    if value >= FIELD_MODULUS_CAP:
-        raise ValueError(f"{what} must be below 2**31, got {value}")
-    if value < 2 or not is_prime(value):
-        raise ValueError(f"{what} must be prime, got {value}")
-    return value
-
-
-def residue_set(p: int) -> frozenset[int]:
-    """The nonzero squares mod a prime p, by squaring every nonzero residue."""
-    value = check_prime_modulus(p)
-    return frozenset(x * x % value for x in range(1, value))

@@ -11,8 +11,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .finitefield import FIELD_MODULUS_CAP, check_integer, check_prime_modulus
-from .finitefield import is_prime, residue_set
+from .finitefield import FIELD_MODULUS_CAP, check_integer, is_prime
 
 __all__ = [
     "Edge",
@@ -72,6 +71,8 @@ class Graph:
         adj = np.asarray(adjacency)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {adj.shape}")
+        if adj.dtype != bool and not ((adj == 0) | (adj == 1)).all():
+            raise ValueError("adjacency entries must be 0 or 1")
         adj = adj.astype(bool, copy=True)
         if adj.diagonal().any():
             raise ValueError("self-loops are not allowed (nonzero diagonal)")
@@ -215,9 +216,16 @@ def permute(g: Graph, perm: Iterable[int]) -> Graph:
 def check_paley_parameter(p: int) -> int:
     """Validate a Paley parameter: a prime below 2**31, congruent to 1 mod 4.
 
-    The smallest such prime is 5, so no separate lower bound is needed.
+    A non-integral value is rejected, not truncated. The range is checked
+    before primality, so a value at or above the cap is reported as too
+    large, prime or not. The smallest valid value is 5, so no separate
+    lower bound is needed.
     """
-    value = check_prime_modulus(p, "Paley parameter")
+    value = check_integer(p, "Paley parameter")
+    if value >= FIELD_MODULUS_CAP:
+        raise ValueError(f"Paley parameter must be below 2**31, got {value}")
+    if value < 2 or not is_prime(value):
+        raise ValueError(f"Paley parameter must be prime, got {value}")
     if value % 4 != 1:
         raise ValueError(
             f"Paley parameter must be congruent to 1 mod 4, got {value} "
@@ -241,9 +249,9 @@ def paley(p: int) -> Graph:
     relation symmetric; the graph is (p-1)/2-regular with p(p-1)/4 edges.
     """
     value = check_paley_parameter(p)
+    idx = np.arange(value, dtype=np.int64)
     is_square = np.zeros(value, dtype=bool)
-    is_square[list(residue_set(value))] = True
-    idx = np.arange(value)
+    is_square[idx[1:] * idx[1:] % value] = True
     diff = (idx[:, None] - idx[None, :]) % value
     # Graph() re-validates symmetry, which is exactly the p == 1 (mod 4) fact.
     return Graph(is_square[diff])
@@ -271,13 +279,13 @@ def paley_primes(lo: int, hi: int) -> list[int]:
     return [p for p in range(start, stop + 1) if p % 4 == 1 and is_prime(p)]
 
 
-def family_corpus(paley_max: int, ring_max: int, complete_sizes, cycle_sizes, empty_sizes=()):
+def family_corpus(p_max: int, q_max: int, complete_sizes, cycle_sizes, empty_sizes=()):
     """Labeled family graphs for the verification suites, in this order:
-    Paley graphs for every valid p <= paley_max, rings of cliques for
-    q = 3..ring_max, then complete, cycle and empty graphs of the given sizes."""
-    for p in paley_primes(5, paley_max):
+    Paley graphs for every valid p <= p_max, rings of cliques for
+    q = 3..q_max, then complete, cycle and empty graphs of the given sizes."""
+    for p in paley_primes(5, p_max):
         yield f"paley({p})", paley(p)
-    for q in range(3, ring_max + 1):
+    for q in range(3, q_max + 1):
         yield f"ring_of_cliques({q})", ring_of_cliques(q)
     for n in complete_sizes:
         yield f"complete({n})", complete(n)
@@ -295,11 +303,15 @@ def splitmix64(seed: int) -> Iterator[int]:
     """The SplitMix64 stream for the given 64-bit seed.
 
     This is the package's one source of randomness; identical seeds produce
-    identical streams on every platform and implementation.
+    identical streams on every platform and implementation. A seed outside
+    0..2**64-1 raises here, before the stream is read.
     """
     if seed < 0 or seed > _MASK64:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    state = seed
+    return _splitmix64_stream(seed)
+
+
+def _splitmix64_stream(state: int) -> Iterator[int]:
     while True:
         state = (state + 0x9E3779B97F4A7C15) & _MASK64
         z = state

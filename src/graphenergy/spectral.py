@@ -95,9 +95,7 @@ def _jacobi_sweep(a: np.ndarray, skip: float) -> None:
             a[q, p] = 0.0
 
 
-def jacobi_eigenvalues(
-    matrix, *, max_sweeps: int = tol.JACOBI_MAX_SWEEPS
-) -> np.ndarray:
+def jacobi_eigenvalues(matrix) -> np.ndarray:
     """All eigenvalues of a real symmetric matrix, sorted descending.
 
     Threshold-cyclic Jacobi on a private float64 copy: each sweep visits
@@ -110,8 +108,8 @@ def jacobi_eigenvalues(
     An exact power-of-two scaling first brings max|a| into [1, 2) (a 0/1
     adjacency matrix is left as is) and is undone on the eigenvalues.
     Converged once off(A) < JACOBI_OFF_TOL_PER_N * n after scaling. Raises
-    ConvergenceError if that does not happen within max_sweeps sweeps --
-    a partial result is never returned.
+    ConvergenceError if that does not happen within JACOBI_MAX_SWEEPS
+    sweeps -- a partial result is never returned.
     """
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -127,16 +125,16 @@ def jacobi_eigenvalues(
     shift = 1 - math.frexp(amax)[1] if amax else 0
     np.ldexp(a, shift, out=a)
     threshold = tol.JACOBI_OFF_TOL_PER_N * n
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(tol.JACOBI_MAX_SWEEPS + 1):
         off = _off_norm(a)
         if off < threshold:
             break
-        if sweep == max_sweeps:
+        if sweep == tol.JACOBI_MAX_SWEEPS:
             raise ConvergenceError(
                 f"off-diagonal norm {off:.3e} still above {threshold:.3e} "
-                f"after {max_sweeps} sweeps (n={n})"
+                f"after {sweep} sweeps (n={n})"
             )
-        _jacobi_sweep(a, max(off / n, tol.JACOBI_ROTATION_SKIP))
+        _jacobi_sweep(a, off / n)
     return np.ldexp(np.sort(np.diagonal(a))[::-1], -shift)
 
 
@@ -231,9 +229,8 @@ class SuiteResult:
         return f"SuiteResult({self.name}: {self.passed}/{self.total} pass)"
 
 
-def _random_graphs(trials: int, seed: int):
-    """`trials` seeded random graphs with n <= 12, labeled."""
-    stream = splitmix64(seed)
+def _random_graphs(trials: int, stream):
+    """`trials` random graphs with n <= 12, labeled, drawn from `stream`."""
     for _ in range(trials):
         n = 1 + next(stream) % 12
         m = next(stream) % (n * (n - 1) // 2 + 1)
@@ -245,8 +242,9 @@ def trace_suite(trials: int = 100, seed: int = 0) -> SuiteResult:
     """Check the two trace identities, sum(l) = 0 and sum(l^2) = 2m, over
     the 32 family graphs with n <= 100 and `trials` seeded random graphs."""
     result = SuiteResult("trace")
+    randoms = _random_graphs(trials, splitmix64(seed))
     families = family_corpus(97, 10, (1, 2, 3, 5, 10, 25), (3, 4, 5, 10, 25), (1, 4))
-    for label, g in itertools.chain(families, _random_graphs(trials, seed)):
+    for label, g in itertools.chain(families, randoms):
         vals = eigenvalues(g)
         trace = float(vals.sum())
         sumsq = float((vals * vals).sum())
@@ -255,12 +253,13 @@ def trace_suite(trials: int = 100, seed: int = 0) -> SuiteResult:
     return result
 
 
-def closed_forms_suite(paley_max: int = 200, ring_max: int = 12) -> SuiteResult:
-    """Check the eigensolver against both closed-form spectra, entrywise."""
+def closed_forms_suite() -> SuiteResult:
+    """Check the eigensolver against both closed-form spectra, entrywise, on
+    the Paley graphs with p <= 200 and the rings of cliques with q <= 12."""
     result = SuiteResult("closed-forms")
     cases = itertools.chain(
-        ((paley, paley_spectrum_closed, p) for p in paley_primes(5, paley_max)),
-        ((ring_of_cliques, ring_clique_spectrum_closed, q) for q in range(3, ring_max + 1)),
+        ((paley, paley_spectrum_closed, p) for p in paley_primes(5, 200)),
+        ((ring_of_cliques, ring_clique_spectrum_closed, q) for q in range(3, 13)),
     )
     for build, closed, param in cases:
         dev = float(np.abs(eigenvalues(build(param)) - closed(param)).max())

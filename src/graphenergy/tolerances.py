@@ -8,8 +8,6 @@ reads its threshold from here, so a tolerance change is a one-line edit.
 # entries) drops below JACOBI_OFF_TOL_PER_N * n; give up after the sweep cap.
 JACOBI_OFF_TOL_PER_N = 1e-12
 JACOBI_MAX_SWEEPS = 100
-# Rotations on entries this small churn denormals without helping convergence.
-JACOBI_ROTATION_SKIP = 1e-30
 
 # Spectrum sanity: |sum of eigenvalues| and |sum of squares - 2m|.
 TRACE_TOL = 1e-8

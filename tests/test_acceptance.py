@@ -151,12 +151,13 @@ def test_criterion_7_ring_closed_form_oracle(ring_spectra_12, capsys):
 
 
 def test_criterion_8_bound_sanity_over_corpus(capsys):
-    result = bounds_suite(paley_max=200, ring_max=12, complete_max=50, cycle_max=50)
+    result = bounds_suite()
+    # 21 Paley primes <= 200, rings q = 3..12, K_1..K_50 and C_3..C_50
     _report(
         capsys,
         "8: energy <= e0 over the regular corpus, equality exactly for K_n",
-        result.ok,
-        "; ".join(result.failures[:5]),
+        result.ok and result.total == 129,
+        f"{result.total} cases; " + "; ".join(result.failures[:5]),
     )
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from graphenergy import bounds, spectral
 from graphenergy import tolerances as tol
 from graphenergy.bounds import (
-    bounds_suite,
     e0,
     edge_deletion_check,
     energy_ratio,
@@ -378,10 +377,3 @@ def test_lemma_suite_is_deterministic():
     a = lemma_suite(trials=10, seed=7)
     b = lemma_suite(trials=10, seed=7)
     assert a.passed == b.passed and a.failures == b.failures
-
-
-def test_bounds_suite_passes_small_corpus():
-    result = bounds_suite(paley_max=30, ring_max=5, complete_max=12, cycle_max=12)
-    assert result.ok
-    expected_cases = 4 + 3 + 12 + 10  # paley {5,13,17,29}, ring 3..5, K_1..12, C_3..12
-    assert result.total == expected_cases

@@ -211,6 +211,8 @@ GOLDEN_STDOUT = {
         "835e3acbff0f9b3983a5221e2ab84f242095d875264fcbc1dab9d6f4e39d0c57",
     ("gen", "ring-clique", "5"):
         "66da848d2cc1810b8ccaaef01b166e6c988ebaceccd3c08477bc67f98e790ab5",
+    ("gen", "paley", "101"):
+        "cb5592028a36fabf90c36c6903c2daae552d3980f41b54d03f26c9cdf2d7849f",
 }
 
 

@@ -91,6 +91,12 @@ def test_graph_constructor_validation():
     bad[0, 1] = True
     with pytest.raises(ValueError, match="symmetric"):
         Graph(bad)
+    # Only 0 and 1 are edges or non-edges; any other entry is rejected
+    # instead of being cast to True.
+    for entry in (np.nan, 2, 0.5):
+        with pytest.raises(ValueError, match="0 or 1"):
+            Graph([[0, entry], [entry, 0]])
+    assert Graph([[0, 1], [1, 0]]).m == Graph([[0.0, 1.0], [1.0, 0.0]]).m == 1
 
 
 def test_adjacency_is_read_only():
@@ -178,12 +184,14 @@ def test_paley_13():
     assert g.has_edge(0, 1) and g.has_edge(0, 3) and not g.has_edge(0, 2)
 
 
-def test_paley_13_matches_brute_force_adjacency():
-    squares = {x * x % 13 for x in range(1, 13)}  # oracle
-    g = paley(13)
-    for u in range(13):
-        for v in range(13):
-            assert g.has_edge(u, v) == ((u - v) % 13 in squares)
+def test_paley_matches_euler_criterion_for_all_p_up_to_200():
+    # Oracle: d != 0 is a square mod p iff d**((p-1)/2) == 1 (mod p).
+    valid = [p for p in range(5, 201) if p % 4 == 1 and all(p % f for f in range(2, p))]
+    assert len(valid) == 21
+    for p in valid:
+        square = [d != 0 and pow(d, (p - 1) // 2, p) == 1 for d in range(p)]
+        expected = [[square[(u - v) % p] for v in range(p)] for u in range(p)]
+        assert np.array_equal(paley(p).adjacency, expected), p
 
 
 def test_paley_17():
@@ -198,14 +206,18 @@ def test_paley_rejects_large_mersenne_prime_by_size():
 
 
 def test_paley_parameter_rejections():
-    with pytest.raises(ValueError, match="prime"):
-        paley(12)
+    for value in (12, 1, -7):
+        with pytest.raises(ValueError, match=f"Paley parameter must be prime, got {value}"):
+            paley(value)
     with pytest.raises(ValueError, match="1 mod 4"):
         paley(7)
     with pytest.raises(ValueError, match="1 mod 4"):
         paley(3)
-    with pytest.raises(ValueError, match="prime"):
-        paley(1)
+    # The range is checked before primality: composite, prime, and prime
+    # beyond what Miller-Rabin accepts are all reported as too large.
+    for value in (2**31, 2**31 + 11, 2**61 - 1, 2**89 - 1):
+        with pytest.raises(ValueError, match="Paley parameter must be below 2\\*\\*31"):
+            paley(value)
 
 
 def test_paley_translation_invariance():
@@ -268,10 +280,12 @@ def test_splitmix64_reference_vector():
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
     ]
-    with pytest.raises(ValueError):
-        next(splitmix64(-1))
-    with pytest.raises(ValueError):
-        next(splitmix64(2**64))
+    # The seed is checked at the call, before the stream is read.
+    for bad_seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            splitmix64(bad_seed)
+    with pytest.raises(ValueError, match="seed"):
+        random_graph(3, 0, -1)
 
 
 def test_random_graph_determinism():

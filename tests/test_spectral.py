@@ -24,7 +24,6 @@ from graphenergy.spectral import (
     ConvergenceError,
     EnergyReport,
     SuiteResult,
-    closed_forms_suite,
     eigenvalues,
     energy,
     jacobi_eigenvalues,
@@ -99,9 +98,10 @@ def test_jacobi_matches_lapack_after_power_of_two_scaling(shift):
     assert np.abs(jacobi_eigenvalues(a) - ref).max() < np.ldexp(1e-10, shift)
 
 
-def test_jacobi_reports_non_convergence_instead_of_garbage():
-    with pytest.raises(ConvergenceError):
-        jacobi_eigenvalues(complete(3).adjacency, max_sweeps=0)
+def test_jacobi_reports_non_convergence_instead_of_garbage(monkeypatch):
+    monkeypatch.setattr(tol, "JACOBI_MAX_SWEEPS", 0)
+    with pytest.raises(ConvergenceError, match="after 0 sweeps"):
+        jacobi_eigenvalues(complete(3).adjacency)
 
 
 def test_jacobi_matches_lapack_on_random_symmetric_matrices():
@@ -276,10 +276,12 @@ def test_trace_suite_case_count_is_32_family_graphs_plus_trials():
     assert trace_suite(trials=3, seed=5).total == 32 + 3
 
 
-def test_closed_forms_suite_passes_small():
-    result = closed_forms_suite(paley_max=30, ring_max=5)
-    assert result.ok
-    assert result.total == len([5, 13, 17, 29]) + 3
+def test_trace_suite_rejects_bad_seed_before_any_solve(monkeypatch):
+    calls = []
+    monkeypatch.setattr("graphenergy.spectral.jacobi_eigenvalues", calls.append)
+    with pytest.raises(ValueError, match="seed"):
+        trace_suite(trials=0, seed=-5)
+    assert calls == []
 
 
 def test_suite_result_bookkeeping():
