@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphenergy.finitefield import is_prime
+from graphenergy.finitefield import FIELD_MODULUS_CAP, is_prime
+from graphenergy.graphcore import check_paley_parameter
 
 
 def trial_division(u: int) -> bool:
@@ -59,3 +60,31 @@ def test_is_prime_rejects_out_of_range():
 def test_is_prime_agrees_with_trial_division(u):
     assert is_prime(u) == trial_division(u)
 
+
+# ---------------------------------------------------------------------------
+# prime modulus of the Paley field
+
+
+def test_prime_modulus_rejections():
+    for value in (12, 1, -7):
+        with pytest.raises(ValueError, match=f"Paley parameter must be prime, got {value}"):
+            check_paley_parameter(value)
+    # The range is checked before primality: composite, prime, and prime
+    # beyond what Miller-Rabin accepts are all reported as too large.
+    for value in (FIELD_MODULUS_CAP, FIELD_MODULUS_CAP + 11, 2**61 - 1, 2**89 - 1):
+        with pytest.raises(ValueError, match="Paley parameter must be below 2\\*\\*31"):
+            check_paley_parameter(value)
+
+
+# ---------------------------------------------------------------------------
+# quadratic residues
+
+
+def test_euler_criterion_agrees_with_squaring_for_all_p_below_200():
+    # Euler's criterion is the oracle for Paley adjacency in test_graphcore;
+    # here it is checked against squaring every nonzero residue.
+    for p in (q for q in range(3, 200) if is_prime(q)):
+        squares = {x * x % p for x in range(1, p)}
+        euler = {d for d in range(1, p) if pow(d, (p - 1) // 2, p) == 1}
+        assert euler == squares, p
+        assert len(squares) == (p - 1) // 2, p
