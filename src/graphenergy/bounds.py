@@ -14,6 +14,7 @@ from . import spectral
 from . import tolerances as tol
 from .graphcore import (
     Graph,
+    check_dense_size,
     check_paley_parameter,
     check_ring_parameter,
     delete_edge,
@@ -230,18 +231,27 @@ def ratio_table(family: str, params, use_closed_form: bool = False) -> list[Rati
 
     family is "paley" or "ring_of_cliques". With use_closed_form the energy
     comes from the closed-form spectrum (cheap, any size); otherwise the
-    graph is built and eigensolved. Any invalid parameter aborts the whole
-    table with an error naming it.
+    graph is built and eigensolved, and every graph is checked against
+    tolerances.MAX_DENSE_N before the first solve. Any invalid parameter
+    aborts the whole table with an error naming it.
     """
     families = ("paley", "ring_of_cliques")
     if family not in families:
         raise ValueError(f"family must be one of {list(families)}, got {family!r}")
+    params = list(params)
     rows = []
-    for param in params:
-        try:
+    try:
+        if not use_closed_form:
+            # Refuse an oversized graph before the first solve, not after many.
+            for param in params:
+                if family == "paley":
+                    check_dense_size(check_paley_parameter(param))
+                else:
+                    check_dense_size(check_ring_parameter(param) ** 2)
+        for param in params:
             rows.append(_ratio_row(family, param, use_closed_form))
-        except ValueError as exc:
-            raise ValueError(f"invalid {family} parameter {param}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"invalid {family} parameter {param}: {exc}") from None
     return rows
 
 
@@ -274,14 +284,16 @@ def lemma_suite(trials: int, seed: int) -> spectral.SuiteResult:
     return result
 
 
-def bounds_suite() -> spectral.SuiteResult:
+def bounds_suite(spectra: dict | None = None) -> spectral.SuiteResult:
     """energy <= e0 over the regular corpus, with equality exactly for K_n:
     Paley graphs with p <= 200, rings of cliques with q <= 12, K_1..K_50
-    and C_3..C_50, 129 graphs in all."""
+    and C_3..C_50, 129 graphs in all. Spectra are looked up in and stored
+    into `spectra` (see spectral.shared_spectrum)."""
+    spectra = {} if spectra is None else spectra
     result = spectral.SuiteResult("bounds")
     for label, g in family_corpus(200, 12, range(1, 51), range(3, 51)):
         k = g.regularity()
-        en = spectral.energy(g)
+        en = spectral.spectrum_energy(spectral.shared_spectrum(spectra, label, g))
         bound = e0(g.n, k)
         within = en <= bound + tol.BOUND_SLACK
         equality = abs(en - bound) <= tol.BOUND_SLACK

@@ -124,11 +124,13 @@ def _cmd_ratio_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # One spectrum per family graph per run, shared by the suites below.
+    spectra = {}
     runners = {
         "lemma": lambda: bounds.lemma_suite(args.trials, args.seed),
-        "trace": lambda: spectral.trace_suite(args.trials, args.seed),
-        "closed-forms": lambda: spectral.closed_forms_suite(),
-        "bounds": lambda: bounds.bounds_suite(),
+        "trace": lambda: spectral.trace_suite(args.trials, args.seed, spectra),
+        "closed-forms": lambda: spectral.closed_forms_suite(spectra),
+        "bounds": lambda: bounds.bounds_suite(spectra),
     }
     names = list(runners) if args.suite == "all" else [args.suite]
     all_ok = True

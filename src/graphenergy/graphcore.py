@@ -12,10 +12,12 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .finitefield import FIELD_MODULUS_CAP, check_integer, is_prime
+from .tolerances import MAX_DENSE_N
 
 __all__ = [
     "Edge",
     "Graph",
+    "check_dense_size",
     "check_paley_parameter",
     "check_ring_parameter",
     "complete",
@@ -131,10 +133,19 @@ class Graph:
 # elementary builders and edits
 
 
+def check_dense_size(n: int) -> None:
+    """Refuse a graph on more than MAX_DENSE_N vertices before it is stored."""
+    if n > MAX_DENSE_N:
+        raise ValueError(
+            f"graph on {n} vertices exceeds the dense-size limit of {MAX_DENSE_N} vertices"
+        )
+
+
 def empty(n: int) -> Graph:
     """Graph with n vertices and no edges."""
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
+    check_dense_size(n)
     return Graph(np.zeros((n, n), dtype=bool))
 
 
@@ -142,6 +153,7 @@ def complete(n: int) -> Graph:
     """The complete graph K_n."""
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
+    check_dense_size(n)
     adj = np.ones((n, n), dtype=bool)
     np.fill_diagonal(adj, False)
     return Graph(adj)
@@ -151,6 +163,7 @@ def cycle(n: int) -> Graph:
     """The cycle C_n, n >= 3."""
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
+    check_dense_size(n)
     adj = np.zeros((n, n), dtype=bool)
     idx = np.arange(n)
     adj[idx, (idx + 1) % n] = True
@@ -166,6 +179,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
+    check_dense_size(n)
     adj = np.zeros((n, n), dtype=bool)
     for e in edges:
         u, v = _as_edge(e)
@@ -192,6 +206,7 @@ def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union; vertices of g2 are shifted up by g1.n."""
     n1, n2 = g1.n, g2.n
+    check_dense_size(n1 + n2)
     adj = np.zeros((n1 + n2, n1 + n2), dtype=bool)
     adj[:n1, :n1] = g1.adjacency
     adj[n1:, n1:] = g2.adjacency
@@ -249,6 +264,7 @@ def paley(p: int) -> Graph:
     relation symmetric; the graph is (p-1)/2-regular with p(p-1)/4 edges.
     """
     value = check_paley_parameter(p)
+    check_dense_size(value)
     idx = np.arange(value, dtype=np.int64)
     is_square = np.zeros(value, dtype=bool)
     is_square[idx[1:] * idx[1:] % value] = True
@@ -267,6 +283,7 @@ def ring_of_cliques(q: int) -> Graph:
     the copies coincide.
     """
     q = check_ring_parameter(q)
+    check_dense_size(q * q)
     # The Cartesian product C_q x K_q: the cycle joins copies, K_q fills each.
     eye = np.eye(q, dtype=bool)
     return Graph(np.kron(cycle(q).adjacency, eye) | np.kron(eye, complete(q).adjacency))
@@ -333,6 +350,7 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
     universe = n * (n - 1) // 2
     if m < 0 or m > universe:
         raise ValueError(f"edge count must be in 0..{universe} for n={n}, got {m}")
+    check_dense_size(n)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     stream = splitmix64(seed)
     for i in range(m):

@@ -38,6 +38,7 @@ __all__ = [
     "jacobi_eigenvalues",
     "paley_spectrum_closed",
     "ring_clique_spectrum_closed",
+    "shared_spectrum",
     "spectral_radius",
     "spectrum_energy",
     "trace_suite",
@@ -145,6 +146,21 @@ def eigenvalues(g: Graph) -> np.ndarray:
     return jacobi_eigenvalues(g.adjacency)
 
 
+def shared_spectrum(spectra: dict, label: str, g: Graph) -> np.ndarray:
+    """eigenvalues(g), solved the first time `label` is seen in `spectra`
+    and stored there read-only; later calls return the stored array.
+
+    `spectra` is the caller's own mapping from corpus label (`paley(13)`)
+    to spectrum, so suites that share one solve each graph once.
+    """
+    vals = spectra.get(label)
+    if vals is None:
+        vals = eigenvalues(g)
+        vals.setflags(write=False)
+        spectra[label] = vals
+    return vals
+
+
 def spectrum_energy(vals) -> float:
     """Energy of a spectrum: the sum of its absolute values."""
     return float(np.abs(vals).sum())
@@ -238,14 +254,16 @@ def _random_graphs(trials: int, stream):
         yield f"random_graph(n={n}, m={m}, seed={s})", random_graph(n, m, s)
 
 
-def trace_suite(trials: int = 100, seed: int = 0) -> SuiteResult:
+def trace_suite(trials: int = 100, seed: int = 0, spectra: dict | None = None) -> SuiteResult:
     """Check the two trace identities, sum(l) = 0 and sum(l^2) = 2m, over
-    the 32 family graphs with n <= 100 and `trials` seeded random graphs."""
+    the 32 family graphs with n <= 100 and `trials` seeded random graphs.
+    Spectra are looked up in and stored into `spectra` (see shared_spectrum)."""
+    spectra = {} if spectra is None else spectra
     result = SuiteResult("trace")
     randoms = _random_graphs(trials, splitmix64(seed))
     families = family_corpus(97, 10, (1, 2, 3, 5, 10, 25), (3, 4, 5, 10, 25), (1, 4))
     for label, g in itertools.chain(families, randoms):
-        vals = eigenvalues(g)
+        vals = shared_spectrum(spectra, label, g)
         trace = float(vals.sum())
         sumsq = float((vals * vals).sum())
         ok = abs(trace) <= tol.TRACE_TOL and abs(sumsq - 2 * g.m) <= tol.TRACE_SQ_TOL
@@ -253,16 +271,19 @@ def trace_suite(trials: int = 100, seed: int = 0) -> SuiteResult:
     return result
 
 
-def closed_forms_suite() -> SuiteResult:
+def closed_forms_suite(spectra: dict | None = None) -> SuiteResult:
     """Check the eigensolver against both closed-form spectra, entrywise, on
-    the Paley graphs with p <= 200 and the rings of cliques with q <= 12."""
+    the Paley graphs with p <= 200 and the rings of cliques with q <= 12.
+    Spectra are looked up in and stored into `spectra` (see shared_spectrum)."""
+    spectra = {} if spectra is None else spectra
     result = SuiteResult("closed-forms")
     cases = itertools.chain(
         ((paley, paley_spectrum_closed, p) for p in paley_primes(5, 200)),
         ((ring_of_cliques, ring_clique_spectrum_closed, q) for q in range(3, 13)),
     )
     for build, closed, param in cases:
-        dev = float(np.abs(eigenvalues(build(param)) - closed(param)).max())
         label = f"{build.__name__}({param})"
+        vals = shared_spectrum(spectra, label, build(param))
+        dev = float(np.abs(vals - closed(param)).max())
         result.check(dev <= tol.CLOSED_SPECTRUM_TOL, f"{label}: max deviation {dev:.3e}")
     return result

@@ -28,3 +28,7 @@ RATIO_FIELD_TOL = 1e-12
 
 # Agreement between numeric and closed-form ratio-table rows.
 MODE_AGREEMENT_TOL = 1e-7
+
+# Largest vertex count a dense graph may have. Jacobi's float64 working set
+# is about 24 n^2 bytes, about 400 MB at this size.
+MAX_DENSE_N = 4096

@@ -1,22 +1,31 @@
+import numpy as np
 import pytest
 
 from graphenergy import graphcore, spectral
 
 
 @pytest.fixture(scope="session")
-def paley_spectra_200():
+def family_spectra():
+    """One label -> spectrum dict for the session, filled by shared_spectrum."""
+    return {}
+
+
+@pytest.fixture(scope="session")
+def paley_spectra_200(family_spectra):
     """Eigensolver spectra for every valid Paley prime up to 200."""
     return {
-        p: spectral.eigenvalues(graphcore.paley(p))
+        p: spectral.shared_spectrum(family_spectra, f"paley({p})", graphcore.paley(p))
         for p in graphcore.paley_primes(5, 200)
     }
 
 
 @pytest.fixture(scope="session")
-def ring_spectra_12():
+def ring_spectra_12(family_spectra):
     """Eigensolver spectra for the ring of cliques, q = 3..12."""
     return {
-        q: spectral.eigenvalues(graphcore.ring_of_cliques(q))
+        q: spectral.shared_spectrum(
+            family_spectra, f"ring_of_cliques({q})", graphcore.ring_of_cliques(q)
+        )
         for q in range(3, 13)
     }
 
@@ -24,3 +33,18 @@ def ring_spectra_12():
 @pytest.fixture(scope="session")
 def paley_spectrum_401():
     return spectral.eigenvalues(graphcore.paley(401))
+
+
+@pytest.fixture
+def solve_counter(monkeypatch):
+    """Replace the Jacobi solver with LAPACK for speed; the returned list
+    gets the order of every matrix solved."""
+    calls = []
+
+    def lapack(matrix):
+        a = np.asarray(matrix, dtype=np.float64)
+        calls.append(a.shape[0])
+        return np.linalg.eigvalsh(a)[::-1]
+
+    monkeypatch.setattr("graphenergy.spectral.jacobi_eigenvalues", lapack)
+    return calls

@@ -150,8 +150,9 @@ def test_criterion_7_ring_closed_form_oracle(ring_spectra_12, capsys):
             not bad, "; ".join(bad))
 
 
-def test_criterion_8_bound_sanity_over_corpus(capsys):
-    result = bounds_suite()
+def test_criterion_8_bound_sanity_over_corpus(family_spectra, capsys):
+    # Reuses the Paley and ring spectra that criteria 1-7 solved, if any.
+    result = bounds_suite(family_spectra)
     # 21 Paley primes <= 200, rings q = 3..12, K_1..K_50 and C_3..C_50
     _report(
         capsys,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from graphenergy import bounds, spectral
 from graphenergy import tolerances as tol
 from graphenergy.bounds import (
+    bounds_suite,
     e0,
     edge_deletion_check,
     energy_ratio,
@@ -292,6 +293,18 @@ def test_ratio_table_names_offending_param():
         ratio_table("nonsense", [3])
 
 
+def test_ratio_table_numeric_checks_every_size_before_the_first_solve(solve_counter):
+    with pytest.raises(ValueError, match="paley parameter 4129: .* dense-size limit"):
+        ratio_table("paley", [13, 17, 4129])
+    with pytest.raises(ValueError, match="ring_of_cliques parameter 65: .* dense-size limit"):
+        ratio_table("ring_of_cliques", iter([3, 65]))
+    with pytest.raises(ValueError, match="paley parameter 12: .* prime"):
+        ratio_table("paley", [13, 12])
+    assert solve_counter == []
+    # closed mode builds no graph, so it has no size limit
+    assert ratio_table("ring_of_cliques", [65], use_closed_form=True)[0].n == 4225
+
+
 def test_paley_ratio_row_checks_its_prime_three_times(monkeypatch):
     # paley_energy_closed, paley_ratio_closed and paley_ratio_lower, once each
     calls = []
@@ -366,6 +379,26 @@ def test_lemma_suite_solves_two_spectra_per_trial(monkeypatch):
     monkeypatch.setattr("graphenergy.spectral.jacobi_eigenvalues", counting_solve)
     assert lemma_suite(trials=25, seed=3).ok
     assert len(calls) == 50
+
+
+def test_suites_on_one_dict_solve_each_family_graph_once(solve_counter):
+    spectra = {}
+    assert spectral.closed_forms_suite(spectra).ok
+    assert len(solve_counter) == 31
+    # bounds adds K_1..K_50 and C_3..C_50 to the 31 graphs closed-forms solved
+    assert bounds_suite(spectra).total == 129
+    assert len(solve_counter) == 31 + 98
+    assert len(spectra) == 129
+    assert not any(vals.flags.writeable for vals in spectra.values())
+
+
+def test_suites_without_a_dict_solve_every_graph(solve_counter):
+    assert spectral.closed_forms_suite().ok
+    assert len(solve_counter) == 31
+    assert bounds_suite().ok
+    assert len(solve_counter) == 31 + 129
+    assert spectral.trace_suite(trials=5, seed=2).ok
+    assert len(solve_counter) == 31 + 129 + 32 + 5
 
 
 def test_lemma_suite_rejects_bad_trials():

@@ -216,7 +216,7 @@ GOLDEN_STDOUT = {
 }
 
 
-@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT))
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT), ids=" ".join)
 def test_output_matches_golden_digest(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -245,6 +245,25 @@ def test_verify_closed_forms(capsys):
     assert code == 0
     # 21 valid primes up to 200 plus rings q = 3..12
     assert "closed-forms: 31/31 pass" in out
+
+
+def test_verify_all_solves_each_family_graph_once(capsys, solve_counter):
+    # lemma 2 x 100 and trace 32 + 100; then closed-forms solves only the 12
+    # family graphs trace did not, and bounds the 87 that neither did.
+    code, out, _ = run(capsys, "verify", "all", "--trials", "100", "--seed", "0")
+    assert code == 0, out
+    assert len(solve_counter) == 200 + 132 + 12 + 87 == 431
+
+
+def test_ratio_table_numeric_refuses_oversized_graph_before_any_solve(capsys, solve_counter):
+    # q = 64 has 4096 vertices and fits; q = 65 has 4225 and is refused before q = 64 is solved
+    code, _, err = run(capsys, "ratio-table", "ring-clique", "64..65", "--mode", "numeric")
+    assert code == 1
+    assert err == (
+        "error: invalid ring_of_cliques parameter 65: graph on 4225 vertices "
+        "exceeds the dense-size limit of 4096 vertices\n"
+    )
+    assert solve_counter == []
 
 
 def test_verify_usage_errors(capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from graphenergy.graphcore import (
     Graph,
+    check_dense_size,
     check_paley_parameter,
     complete,
     cycle,
@@ -222,6 +223,35 @@ def test_paley_parameter_rejections():
         paley(3)
     with pytest.raises(ValueError, match="prime"):
         paley(1)
+
+
+# Each of these exceeds MAX_DENSE_N = 4096 vertices and is refused before
+# its builder allocates; 4129 is the least valid Paley prime above 4096.
+OVERSIZED = {
+    "empty": lambda: empty(4097),
+    "complete": lambda: complete(4097),
+    "cycle": lambda: cycle(4097),
+    "from_edge_list": lambda: from_edge_list(4097, []),
+    "parse_edge_list": lambda: parse_edge_list("4097 0\n"),
+    "random_graph": lambda: random_graph(4097, 0, 0),
+    "paley": lambda: paley(4129),
+    "ring_of_cliques": lambda: ring_of_cliques(65),
+    "disjoint_union": lambda: disjoint_union(empty(2048), empty(2049)),
+}
+
+
+@pytest.mark.parametrize("build", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_builders_refuse_graphs_above_the_dense_size_limit(build):
+    with pytest.raises(ValueError, match="exceeds the dense-size limit of 4096 vertices"):
+        build()
+
+
+def test_dense_size_limit_admits_its_own_size_and_keeps_parameter_messages():
+    check_dense_size(4096)
+    with pytest.raises(ValueError, match="must be prime"):
+        paley(4097 * 4099)
+    with pytest.raises(ValueError, match="nonnegative"):
+        empty(-5000)
 
 
 def test_paley_translation_invariance():

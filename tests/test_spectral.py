@@ -29,6 +29,7 @@ from graphenergy.spectral import (
     jacobi_eigenvalues,
     paley_spectrum_closed,
     ring_clique_spectrum_closed,
+    shared_spectrum,
     spectral_radius,
     trace_suite,
 )
@@ -282,6 +283,18 @@ def test_trace_suite_rejects_bad_seed_before_any_solve(monkeypatch):
     with pytest.raises(ValueError, match="seed"):
         trace_suite(trials=0, seed=-5)
     assert calls == []
+
+
+def test_shared_spectrum_solves_a_label_once_and_stores_it_read_only(solve_counter):
+    spectra = {}
+    first = shared_spectrum(spectra, "paley(13)", paley(13))
+    assert shared_spectrum(spectra, "paley(13)", paley(13)) is first
+    assert solve_counter == [13]
+    assert list(spectra) == ["paley(13)"]
+    assert not first.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 0.0
+    assert np.allclose(first, paley_spectrum_closed(13), atol=1e-12)
 
 
 def test_suite_result_bookkeeping():
