@@ -122,7 +122,10 @@ def paley_energy_closed(p) -> float:
 
 def paley_ratio_lower(p) -> float:
     """Crude lower bound sqrt(p)/(sqrt(p) + 2) on the Paley energy ratio."""
-    value = check_paley_parameter(p)
+    return _paley_ratio_lower(check_paley_parameter(p))
+
+
+def _paley_ratio_lower(value: int) -> float:
     root = math.sqrt(value)
     return root / (root + 2.0)
 
@@ -134,7 +137,10 @@ def paley_ratio_closed(p) -> float:
     collapses to this two-radical form; it lies strictly between the crude
     chain bound and 1.
     """
-    value = check_paley_parameter(p)
+    return _paley_ratio_closed(check_paley_parameter(p))
+
+
+def _paley_ratio_closed(value: int) -> float:
     root = math.sqrt(value)
     ratio = (1.0 + root) / (1.0 + math.sqrt(value + 1))
     if not root / (root + 2.0) < ratio < 1.0:
@@ -198,13 +204,14 @@ class RatioRow:
 
 
 def _ratio_row(family: str, param: int, use_closed_form: bool) -> RatioRow:
-    # The closed-form call checks param, so int() after it is exact; its
-    # energy is computed once, for closed mode and the ring's closed_ratio.
+    # The closed-form call checks param, so int() after it is exact and the
+    # Paley row needs no second check; its energy is computed once, for
+    # closed mode and the ring's closed_ratio.
     if family == "paley":
         closed = paley_energy_closed(param)
         param = int(param)
         n, k, build = param, (param - 1) // 2, paley
-        closed_ratio, paper_bound = paley_ratio_closed(param), paley_ratio_lower(param)
+        closed_ratio, paper_bound = _paley_ratio_closed(param), _paley_ratio_lower(param)
     else:
         closed = ring_clique_energy_closed(param)
         param = int(param)

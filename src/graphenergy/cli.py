@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import re
 import sys
+import typing
 
 from . import bounds, graphcore, spectral
 
@@ -20,6 +21,11 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 CSV_HEADER = ",".join(field.name for field in dataclasses.fields(bounds.RatioRow))
+# One %-format per CSV row: "%.12g" gives the bytes _fmt gives, "%s" those of str.
+_ROW_FORMAT = ",".join(
+    "%.12g" if typing.get_type_hints(bounds.RatioRow)[field.name] is float else "%s"
+    for field in dataclasses.fields(bounds.RatioRow)
+)
 
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
@@ -116,9 +122,7 @@ def _cmd_ratio_table(args) -> int:
         raise ValueError(f"no valid {args.family} parameters in {lo}..{hi}")
     rows = bounds.ratio_table(family, params, use_closed_form=(args.mode == "closed"))
     lines = [CSV_HEADER]
-    for row in rows:
-        cells = vars(row).values()
-        lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in cells))
+    lines.extend(_ROW_FORMAT % tuple(vars(row).values()) for row in rows)
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

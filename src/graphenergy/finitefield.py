@@ -1,9 +1,15 @@
 """Prime-field arithmetic behind the Paley construction.
 
-Primality is decided by a deterministic Miller-Rabin test using the
-seven-witness set {2, 325, 9375, 28178, 450775, 9780504, 1795265022},
-which gives exact answers for every input below 2**64 (no probabilistic
-false positives anywhere in the supported range).
+Primality is decided by a deterministic Miller-Rabin test with one of two
+witness sets, each exact on its range (no probabilistic false positives
+anywhere in the supported range):
+
+- below 4,759,123,141 the bases {2, 7, 61} suffice (Jaeschke, Math. Comp.
+  61 (1993) 915-926); 4,759,123,141 = 48781 * 97561 is the smallest strong
+  pseudoprime to all three. This covers every Paley parameter, which stays
+  below FIELD_MODULUS_CAP = 2**31;
+- from there up to 2**63 - 1 the seven-witness set {2, 325, 9375, 28178,
+  450775, 9780504, 1795265022} is used, which is exact below 2**64.
 """
 
 from __future__ import annotations
@@ -14,8 +20,11 @@ __all__ = [
     "is_prime",
 ]
 
-# Witnesses proven sufficient for all n < 2**64.
-_MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+# (2, 7, 61) is exact below the limit (Jaeschke 1993); the seven witnesses
+# are exact below 2**64.
+_MR_WITNESSES_32 = (2, 7, 61)
+_MR_WITNESSES_32_LIMIT = 4_759_123_141
+_MR_WITNESSES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MAX_TESTABLE = 2**63 - 1
 
@@ -39,7 +48,8 @@ def is_prime(u: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for witness in _MR_WITNESSES:
+    witnesses = _MR_WITNESSES_32 if u < _MR_WITNESSES_32_LIMIT else _MR_WITNESSES_64
+    for witness in witnesses:
         a = witness % u
         if a == 0:
             continue

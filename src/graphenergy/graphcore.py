@@ -7,6 +7,7 @@ seeded random graphs for property tests, and the edge-list text format.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 _MASK64 = 2**64 - 1
+_SIEVE_SEGMENT = 2**18  # integers per paley_primes segment; a multiple of 4
 
 
 class Edge(NamedTuple):
@@ -290,10 +292,50 @@ def ring_of_cliques(q: int) -> Graph:
 
 
 def paley_primes(lo: int, hi: int) -> list[int]:
-    """All valid Paley parameters in [lo, hi]: primes p == 1 (mod 4), 5 <= p < 2**31."""
+    """All valid Paley parameters in [lo, hi]: primes p == 1 (mod 4), 5 <= p < 2**31.
+
+    A segmented sieve of Eratosthenes, with no primality test per candidate.
+    The window is cut into segments of _SIEVE_SEGMENT integers at multiples
+    of _SIEVE_SEGMENT. Each segment holds one flag per integer == 1 (mod 4)
+    and clears the multiples of every odd prime whose square lies below the
+    segment's end, starting at that square; the odd primes up to
+    sqrt(min(hi, 2**31 - 1)) come from a plain sieve first. A multiple p*j of
+    an odd prime p is == 1 (mod 4) exactly when j == p (mod 4), so each
+    prime's flags are p apart. Memory is O(_SIEVE_SEGMENT) whatever the
+    window's width.
+    """
     start = max(lo, 5)
     stop = min(hi, FIELD_MODULUS_CAP - 1)
-    return [p for p in range(start, stop + 1) if p % 4 == 1 and is_prime(p)]
+    if start > stop:
+        return []
+    base = _odd_primes_upto(math.isqrt(stop))
+    found: list[int] = []
+    for seg_lo in range(start - start % _SIEVE_SEGMENT, stop + 1, _SIEVE_SEGMENT):
+        seg_end = seg_lo + _SIEVE_SEGMENT
+        # flag i stands for seg_lo + 1 + 4i; seg_lo is a multiple of 4
+        flags = np.ones(_SIEVE_SEGMENT // 4, dtype=bool)
+        for p in base:
+            square = p * p
+            if square >= seg_end:
+                break
+            j = -(-max(square, seg_lo) // p)
+            j += (p - j) % 4
+            flags[(p * j - seg_lo - 1) // 4 :: p] = False
+        values = seg_lo + 1 + 4 * np.flatnonzero(flags)
+        found.extend(values[(values >= start) & (values <= stop)].tolist())
+    return found
+
+
+def _odd_primes_upto(n: int) -> list[int]:
+    """The odd primes <= n, by a plain sieve of Eratosthenes."""
+    if n < 3:
+        return []
+    is_p = np.ones(n + 1, dtype=bool)
+    is_p[:2] = False
+    for f in range(2, math.isqrt(n) + 1):
+        if is_p[f]:
+            is_p[f * f :: f] = False
+    return np.flatnonzero(is_p)[1:].tolist()
 
 
 def family_corpus(p_max: int, q_max: int, complete_sizes, cycle_sizes, empty_sizes=()):
@@ -340,10 +382,12 @@ def _splitmix64_stream(state: int) -> Iterator[int]:
 def random_graph(n: int, m: int, seed: int) -> Graph:
     """Uniform random simple graph with exactly m edges, reproducible by seed.
 
-    Sampling: list all n(n-1)/2 vertex pairs in lexicographic order, run a
-    partial Fisher-Yates shuffle driven by splitmix64(seed) -- the swap
-    partner for position i is i + (r_i mod (U - i)) where U is the pair
-    count and r_i the i-th stream value -- and keep the first m pairs.
+    Sampling: number the n(n-1)/2 vertex pairs 0..U-1 in lexicographic
+    order, run a partial Fisher-Yates shuffle driven by splitmix64(seed) --
+    the swap partner for position i is i + (r_i mod (U - i)) where r_i is
+    the i-th stream value -- and keep the first m pairs. Only displaced
+    positions are stored (in a dict), so besides the n x n matrix the
+    sampling takes O(m) memory, not O(U).
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -351,12 +395,33 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
     if m < 0 or m > universe:
         raise ValueError(f"edge count must be in 0..{universe} for n={n}, got {m}")
     check_dense_size(n)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    displaced: dict[int, int] = {}
+    us, vs = [], []
     stream = splitmix64(seed)
     for i in range(m):
         j = i + next(stream) % (universe - i)
-        pairs[i], pairs[j] = pairs[j], pairs[i]
-    return from_edge_list(n, pairs[:m])
+        u, v = _pair_at(n, displaced.get(j, j))
+        # position i is final after this step; position j takes its entry
+        displaced[j] = displaced.pop(i, i)
+        us.append(u)
+        vs.append(v)
+    # distinct pairs with u < v < n by construction: no per-edge checks needed
+    adj = np.zeros((n, n), dtype=bool)
+    adj[us, vs] = True
+    adj[vs, us] = True
+    return Graph(adj)
+
+
+def _pair_at(n: int, index: int) -> tuple[int, int]:
+    """The vertex pair at position `index` of the lexicographic order.
+
+    Counted back from the last pair, the row of pairs (u, .) has n - 1 - u
+    entries, so for the pair `back` places before the last, w = n - 2 - u is
+    the largest w with w(w + 1)/2 <= back.
+    """
+    back = n * (n - 1) // 2 - 1 - index
+    w = (math.isqrt(8 * back + 1) - 1) // 2
+    return n - 2 - w, n - 1 - (back - w * (w + 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +434,9 @@ def format_edge_list(g: Graph) -> str:
     Edges are written in ascending lexicographic order with u < v; the
     output is newline-terminated.
     """
+    rows, cols = np.nonzero(np.triu(g.adjacency))
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    lines.extend(map("%d %d".__mod__, zip(rows.tolist(), cols.tolist())))
     return "\n".join(lines) + "\n"
 
 

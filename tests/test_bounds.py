@@ -305,8 +305,8 @@ def test_ratio_table_numeric_checks_every_size_before_the_first_solve(solve_coun
     assert ratio_table("ring_of_cliques", [65], use_closed_form=True)[0].n == 4225
 
 
-def test_paley_ratio_row_checks_its_prime_three_times(monkeypatch):
-    # paley_energy_closed, paley_ratio_closed and paley_ratio_lower, once each
+def test_paley_ratio_row_checks_its_prime_once(monkeypatch):
+    # paley_energy_closed checks it; the row's ratio and bound reuse the value
     calls = []
     check = bounds.check_paley_parameter
 
@@ -316,7 +316,7 @@ def test_paley_ratio_row_checks_its_prime_three_times(monkeypatch):
 
     monkeypatch.setattr(bounds, "check_paley_parameter", counting_check)
     ratio_table("paley", [13, 17], use_closed_form=True)
-    assert calls == [13, 13, 13, 17, 17, 17]
+    assert calls == [13, 17]
 
 
 def test_paley_rows_carry_chain_bound():

@@ -1,5 +1,6 @@
 """Prime-field arithmetic checked against brute-force oracles."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -47,6 +48,47 @@ def test_is_prime_examples():
 )
 def test_is_prime_large_values(value, expected):
     assert is_prime(value) == expected
+
+
+def test_is_prime_agrees_with_a_sieve_below_two_million():
+    limit = 2 * 10**6
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for f in range(2, int(limit**0.5) + 1):
+        if sieve[f]:
+            sieve[f * f :: f] = False
+    assert [u for u in range(limit) if is_prime(u)] == np.flatnonzero(sieve).tolist()
+
+
+def strong_probable_prime(u: int, base: int) -> bool:
+    d, s = u - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(base, d, u)
+    if x in (1, u - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % u
+        if x == u - 1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("value", [2047, 3277, 4033, 4681, 8321, 3215031751])
+def test_is_prime_rejects_strong_pseudoprimes_to_base_2(value):
+    assert strong_probable_prime(value, 2)
+    assert not is_prime(value)
+
+
+def test_is_prime_switches_witness_sets_below_the_first_2_7_61_pseudoprime():
+    # 4759123141 = 48781 * 97561 passes bases 2, 7 and 61, so it must be
+    # the first input that the seven-witness set decides.
+    value = 4759123141
+    assert value == 48781 * 97561
+    assert all(strong_probable_prime(value, base) for base in (2, 7, 61))
+    assert not is_prime(value)
+    # the largest prime below it, decided on the three-witness path
+    assert trial_division(4759123129) and is_prime(4759123129)
 
 
 def test_is_prime_rejects_out_of_range():

@@ -1,10 +1,14 @@
 """Graph construction, edits, generators, and the edge-list format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphenergy import graphcore
+from graphenergy.finitefield import is_prime
 from graphenergy.graphcore import (
     Graph,
     check_dense_size,
@@ -274,6 +278,45 @@ def test_paley_primes_stop_below_field_cap():
     assert paley_primes(2**31, 2**31 + 1000) == []
 
 
+def paley_primes_by_test(lo, hi):
+    """The definition of paley_primes, one primality test per candidate."""
+    return [p for p in range(max(lo, 5), min(hi, 2**31 - 1) + 1) if p % 4 == 1 and is_prime(p)]
+
+
+SEGMENT = graphcore._SIEVE_SEGMENT
+# Every sieve segment ends at a multiple of SEGMENT; the last one at 2**31.
+BOUNDARIES = [SEGMENT, 2 * SEGMENT, 3 * SEGMENT, 2**20, 2**31 - SEGMENT, 2**31]
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_paley_primes_is_exact_across_segment_boundaries(boundary):
+    # Windows that end just before, at and after the boundary, start there,
+    # and straddle it (one of them spanning three segments).
+    windows = [(boundary - 400, boundary - 1), (boundary - 400, boundary),
+               (boundary - 1, boundary + 400), (boundary, boundary + 400),
+               (boundary + 1, boundary + 400), (boundary - 300, boundary + 300)]
+    if boundary > SEGMENT:
+        windows.append((boundary - SEGMENT - 50, boundary + 50))
+    for lo, hi in windows:
+        assert paley_primes(lo, hi) == paley_primes_by_test(lo, hi), (lo, hi)
+
+
+def test_paley_primes_is_exact_on_edge_windows():
+    for lo, hi in [(20, 10), (13, 5), (-50, 60), (0, 4), (4, 5),
+                   (13, 13), (29, 29), (21, 21), (25, 25), (15, 15),
+                   (2**31 - 20000, 2**31 + 5)]:
+        assert paley_primes(lo, hi) == paley_primes_by_test(lo, hi), (lo, hi)
+    assert all(type(p) is int for p in paley_primes(5, 100))
+
+
+def test_paley_primes_makes_no_primality_tests(monkeypatch):
+    calls = []
+    monkeypatch.setattr(graphcore, "is_prime", lambda u: calls.append(u) or is_prime(u))
+    primes = paley_primes(5, 10**5)
+    assert calls == []
+    assert primes == paley_primes_by_test(5, 10**5)
+
+
 def test_ring_of_cliques_small():
     g = ring_of_cliques(3)
     assert (g.n, g.m, g.regularity()) == (9, 18, 4)
@@ -344,6 +387,38 @@ def test_random_graph_edge_count_and_bounds():
         random_graph(4, 7, seed=0)
 
 
+def random_graph_from_pair_list(n, m, seed):
+    """The list form of random_graph's sampling: every pair materialised."""
+    universe = n * (n - 1) // 2
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    stream = splitmix64(seed)
+    for i in range(m):
+        j = i + next(stream) % (universe - i)
+        pairs[i], pairs[j] = pairs[j], pairs[i]
+    return from_edge_list(n, pairs[:m])
+
+
+def test_random_graph_matches_the_pair_list_shuffle():
+    for n in range(13):
+        for m in range(n * (n - 1) // 2 + 1):
+            for seed in (0, 1, 12345, 2**64 - 1):
+                assert random_graph(n, m, seed) == random_graph_from_pair_list(n, m, seed), (n, m, seed)
+
+
+def test_random_graph_memory_is_bounded_by_the_dense_matrix():
+    n = 4096
+    tracemalloc.start()
+    try:
+        g = random_graph(n, 1, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m == 1
+    # The boolean matrix and Graph's copy and symmetry check; a list of all
+    # n(n-1)/2 pairs as tuples would take about 45 n^2 bytes.
+    assert peak <= 4 * n * n
+
+
 # ---------------------------------------------------------------------------
 # edge-list text format
 
@@ -351,6 +426,13 @@ def test_random_graph_edge_count_and_bounds():
 def test_format_edge_list_exact():
     assert format_edge_list(path3()) == "3 2\n0 1\n1 2\n"
     assert format_edge_list(empty(2)) == "2 0\n"
+
+
+def test_format_edge_list_matches_per_edge_rendering():
+    relabel = [(5 * x + 3) % 16 for x in range(16)]
+    for g in (empty(0), empty(1), complete(5), paley(13), permute(ring_of_cliques(4), relabel)):
+        lines = [f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in g.edges()]
+        assert format_edge_list(g) == "\n".join(lines) + "\n"
 
 
 def test_parse_edge_list_roundtrip():
