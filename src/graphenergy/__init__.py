@@ -10,12 +10,11 @@ operations.
 
 from .bounds import (
     EdgeDeletionCheck,
+    EnergyReport,
     RatioRow,
-    RatioUpperBounds,
     bounds_suite,
     e0,
     edge_deletion_check,
-    energy_ratio,
     energy_report,
     lemma_suite,
     paley_energy_closed,
@@ -34,7 +33,6 @@ from .graphcore import (
     complete,
     cycle,
     delete_edge,
-    disjoint_union,
     empty,
     format_edge_list,
     from_edge_list,
@@ -50,7 +48,6 @@ from .graphcore import (
 )
 from .spectral import (
     ConvergenceError,
-    EnergyReport,
     SuiteResult,
     closed_forms_suite,
     eigenvalues,
@@ -58,7 +55,6 @@ from .spectral import (
     jacobi_eigenvalues,
     paley_spectrum_closed,
     ring_clique_spectrum_closed,
-    spectral_radius,
     trace_suite,
 )
 
@@ -71,7 +67,6 @@ __all__ = [
     "EnergyReport",
     "Graph",
     "RatioRow",
-    "RatioUpperBounds",
     "SuiteResult",
     "bounds_suite",
     "check_paley_parameter",
@@ -79,13 +74,11 @@ __all__ = [
     "complete",
     "cycle",
     "delete_edge",
-    "disjoint_union",
     "e0",
     "edge_deletion_check",
     "eigenvalues",
     "empty",
     "energy",
-    "energy_ratio",
     "energy_report",
     "format_edge_list",
     "from_edge_list",
@@ -108,7 +101,6 @@ __all__ = [
     "ring_clique_ratio_upper",
     "ring_clique_spectrum_closed",
     "ring_of_cliques",
-    "spectral_radius",
     "splitmix64",
     "trace_suite",
     "write_edge_list",

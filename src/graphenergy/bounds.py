@@ -27,12 +27,11 @@ from .graphcore import (
 
 __all__ = [
     "EdgeDeletionCheck",
+    "EnergyReport",
     "RatioRow",
-    "RatioUpperBounds",
     "bounds_suite",
     "e0",
     "edge_deletion_check",
-    "energy_ratio",
     "energy_report",
     "lemma_suite",
     "paley_energy_closed",
@@ -59,7 +58,18 @@ def _e0_and_ratio(energy: float, n: int, k: int) -> tuple[float, float]:
     return bound, energy / bound
 
 
-def energy_report(g: Graph) -> spectral.EnergyReport:
+@dataclass(frozen=True)
+class EnergyReport:
+    """Energy summary for one graph; e0 and ratio are set for regular k >= 1."""
+
+    energy: float
+    spectral_radius: float
+    k: int | None = None
+    e0: float | None = None
+    ratio: float | None = None
+
+
+def energy_report(g: Graph) -> EnergyReport:
     """Energy and spectral radius of g from one eigensolve, with k, e0 and
     the ratio where they are defined: k is None for a non-regular graph,
     and e0 and ratio are None unless k >= 1 (e0 = 0 for k = 0)."""
@@ -67,23 +77,7 @@ def energy_report(g: Graph) -> spectral.EnergyReport:
     en = spectral.spectrum_energy(vals)
     k = g.regularity()
     bound, ratio = _e0_and_ratio(en, g.n, k) if k else (None, None)
-    return spectral.EnergyReport(
-        energy=en, spectral_radius=float(vals[0]), k=k, e0=bound, ratio=ratio
-    )
-
-
-def energy_ratio(g: Graph) -> spectral.EnergyReport:
-    """Energy, spectral radius, e0, and the ratio energy/e0 for a regular graph.
-
-    Rejects non-regular graphs and 0-regular graphs (e0 = 0 leaves the ratio
-    undefined).
-    """
-    k = g.regularity()
-    if k is None:
-        raise ValueError("energy ratio needs a regular graph")
-    if k == 0:
-        raise ValueError("energy ratio is undefined for 0-regular graphs (e0 = 0)")
-    return energy_report(g)
+    return EnergyReport(energy=en, spectral_radius=float(vals[0]), k=k, e0=bound, ratio=ratio)
 
 
 @dataclass(frozen=True)
@@ -159,28 +153,20 @@ def ring_clique_energy_upper(q: int) -> float:
     return float(4 * q * q - 2 * q)
 
 
-@dataclass(frozen=True)
-class RatioUpperBounds:
-    """Upper bounds on the ring-of-cliques energy ratio: exact-e0 and crude."""
+def ring_clique_ratio_upper(q: int) -> float:
+    """The paper's upper bound (4q^2 - 2q) / ((q^2 - q - 1) sqrt(q + 1)) on
+    energy/e0 for the ring of cliques.
 
-    tight: float
-    crude: float
-
-
-def ring_clique_ratio_upper(q: int) -> RatioUpperBounds:
-    """Both upper bounds on energy/e0 for the ring of cliques.
-
-    tight divides the energy bound 4q^2 - 2q by the true e0(q^2, q+1); crude
-    divides it by the smaller (q^2 - q - 1) sqrt(q + 1), so tight <= crude
-    always. The crude value exceeds 1 for small q and decays toward 0 only
-    asymptotically.
+    It divides the energy bound 4q^2 - 2q by the lower estimate
+    e0(q^2, q + 1) >= (q^2 - q - 1) sqrt(q + 1), a step of the proof chain
+    that is checked here. The bound exceeds 1 for small q and decays toward
+    0 only asymptotically.
     """
     upper = ring_clique_energy_upper(q)
-    tight = upper / e0(q * q, q + 1)
-    crude = upper / ((q * q - q - 1) * math.sqrt(q + 1.0))
-    if not tight <= crude:
+    estimate = (q * q - q - 1) * math.sqrt(q + 1.0)
+    if not e0(q * q, q + 1) >= estimate:
         raise ArithmeticError("e0 fell below its lower estimate")
-    return RatioUpperBounds(tight=tight, crude=crude)
+    return upper / estimate
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +202,7 @@ def _ratio_row(family: str, param: int, use_closed_form: bool) -> RatioRow:
         closed = ring_clique_energy_closed(param)
         param = int(param)
         n, k, build = param * param, param + 1, ring_of_cliques
-        closed_ratio, paper_bound = closed / e0(n, k), ring_clique_ratio_upper(param).crude
+        closed_ratio, paper_bound = closed / e0(n, k), ring_clique_ratio_upper(param)
     en = closed if use_closed_form else spectral.energy(build(param))
     bound, ratio = _e0_and_ratio(en, n, k)
     return RatioRow(

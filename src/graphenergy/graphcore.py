@@ -24,7 +24,6 @@ __all__ = [
     "complete",
     "cycle",
     "delete_edge",
-    "disjoint_union",
     "empty",
     "family_corpus",
     "format_edge_list",
@@ -64,7 +63,7 @@ def _as_edge(e: tuple[int, int]) -> Edge:
 class Graph:
     """Immutable simple graph with a dense symmetric boolean adjacency matrix.
 
-    All edits (edge deletion, relabeling, unions) return new graphs; the
+    All edits (edge deletion, relabeling) return new graphs; the
     stored matrix is flagged read-only, so instances are safe to share
     between threads or tasks.
     """
@@ -100,15 +99,15 @@ class Graph:
         return self._adj
 
     def has_edge(self, u: int, v: int) -> bool:
+        """Whether u and v are adjacent; both must lie in 0..n-1."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{self.n - 1}")
         return bool(self._adj[u, v])
 
     def edges(self) -> list[Edge]:
         """All edges in ascending lexicographic order."""
         rows, cols = np.nonzero(np.triu(self._adj))
         return [Edge(int(u), int(v)) for u, v in zip(rows, cols)]
-
-    def degree_sequence(self) -> list[int]:
-        return [int(d) for d in self._adj.sum(axis=0)]
 
     def regularity(self) -> int | None:
         """The common degree k if the graph is regular, else None.
@@ -197,21 +196,11 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
     """New graph with edge e removed; e must be present."""
     edge = _as_edge(e)
-    if edge.v >= g.n or not g.has_edge(edge.u, edge.v):
+    if not g.has_edge(edge.u, edge.v):
         raise ValueError(f"edge ({edge.u}, {edge.v}) is not in the graph")
     adj = g.adjacency.copy()
     adj[edge.u, edge.v] = False
     adj[edge.v, edge.u] = False
-    return Graph(adj)
-
-
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union; vertices of g2 are shifted up by g1.n."""
-    n1, n2 = g1.n, g2.n
-    check_dense_size(n1 + n2)
-    adj = np.zeros((n1 + n2, n1 + n2), dtype=bool)
-    adj[:n1, :n1] = g1.adjacency
-    adj[n1:, n1:] = g2.adjacency
     return Graph(adj)
 
 
@@ -441,10 +430,14 @@ def format_edge_list(g: Graph) -> str:
 
 
 def _int_token(token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"{what} must be an integer, got {token!r}") from None
+    # ASCII -?[0-9]+ only: int() alone also takes "1_0", "+3" and non-ASCII
+    # digits, and past its digit limit raises a ValueError of its own.
+    if token.isascii() and (token.isdigit() or token[:1] == "-" and token[1:].isdigit()):
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {token!r}")
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -3,15 +3,14 @@
 The eigensolver is a cyclic Jacobi iteration written here rather than taken
 from a library: it is simple, unconditionally stable for symmetric input,
 and accurate on the heavily degenerate spectra of the graph families this
-package studies. Closed-form spectra for those families, graph energy, the
-spectral radius, and the invariant-checking suites live here too.
+package studies. Closed-form spectra for those families, graph energy and
+the invariant-checking suites live here too.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .graphcore import (
 
 __all__ = [
     "ConvergenceError",
-    "EnergyReport",
     "SuiteResult",
     "closed_forms_suite",
     "eigenvalues",
@@ -39,7 +37,6 @@ __all__ = [
     "paley_spectrum_closed",
     "ring_clique_spectrum_closed",
     "shared_spectrum",
-    "spectral_radius",
     "spectrum_energy",
     "trace_suite",
 ]
@@ -171,11 +168,6 @@ def energy(g: Graph) -> float:
     return spectrum_energy(eigenvalues(g))
 
 
-def spectral_radius(g: Graph) -> float:
-    """Largest adjacency eigenvalue; equals k for a k-regular graph."""
-    return float(eigenvalues(g)[0])
-
-
 def paley_spectrum_closed(p) -> np.ndarray:
     """Closed-form Paley spectrum, sorted descending.
 
@@ -206,17 +198,6 @@ def ring_clique_spectrum_closed(q: int) -> np.ndarray:
     ring = 2.0 * np.cos(2.0 * np.pi * np.arange(q) / q)
     vals = np.concatenate([ring + (q - 1.0), np.repeat(ring - 1.0, q - 1)])
     return np.sort(vals)[::-1].copy()
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Energy summary for one graph; e0 and ratio are set for regular k >= 1."""
-
-    energy: float
-    spectral_radius: float
-    k: int | None = None
-    e0: float | None = None
-    ratio: float | None = None
 
 
 class SuiteResult:

@@ -13,7 +13,7 @@ JACOBI_MAX_SWEEPS = 100
 TRACE_TOL = 1e-8
 TRACE_SQ_TOL = 1e-6
 
-# Energy comparisons under relabeling / disjoint union.
+# Energy comparisons under relabeling and block-diagonal disjoint union.
 ENERGY_INVARIANCE_TOL = 1e-8
 
 # Entrywise agreement between the eigensolver and a closed-form spectrum.

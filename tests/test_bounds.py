@@ -13,7 +13,7 @@ from graphenergy.bounds import (
     bounds_suite,
     e0,
     edge_deletion_check,
-    energy_ratio,
+    energy_report,
     lemma_suite,
     paley_energy_closed,
     paley_ratio_closed,
@@ -25,7 +25,6 @@ from graphenergy.bounds import (
 )
 from graphenergy.graphcore import (
     complete,
-    empty,
     from_edge_list,
     paley,
     paley_primes,
@@ -70,11 +69,11 @@ def test_e0_rejections():
 
 
 # ---------------------------------------------------------------------------
-# energy_ratio
+# energy ratio
 
 
 def test_energy_ratio_complete_graph_hits_the_bound():
-    report = energy_ratio(complete(5))
+    report = energy_report(complete(5))
     assert report.ratio == pytest.approx(1.0, abs=tol.BOUND_SLACK)
     assert report.k == 4
     assert report.e0 == pytest.approx(8.0, abs=1e-12)
@@ -83,23 +82,16 @@ def test_energy_ratio_complete_graph_hits_the_bound():
 
 
 def test_energy_ratio_paley_13():
-    report = energy_ratio(paley(13))
+    report = energy_report(paley(13))
     # (1 + sqrt(13)) / (1 + sqrt(14)), 40-digit reference evaluation
     assert report.ratio == pytest.approx(0.9712956672724611, abs=1e-9)
 
 
 def test_energy_ratio_ring_3():
-    report = energy_ratio(ring_of_cliques(3))
+    report = energy_report(ring_of_cliques(3))
     # 16 / (4 + sqrt(160)), 40-digit reference evaluation
     assert report.ratio == pytest.approx(0.9610122934081686, abs=1e-9)
     assert report.energy == pytest.approx(16.0, abs=1e-9)
-
-
-def test_energy_ratio_rejections():
-    with pytest.raises(ValueError, match="regular"):
-        energy_ratio(path3())
-    with pytest.raises(ValueError, match="0-regular"):
-        energy_ratio(empty(4))
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +217,28 @@ def test_ring_clique_energy_closed_values():
 
 
 def test_ring_clique_ratio_upper_values():
-    assert ring_clique_ratio_upper(3).crude == 3.0  # 30 / (5 * 2), uninformative small-q case
+    assert ring_clique_ratio_upper(3) == 3.0  # 30 / (5 * 2), uninformative small-q case
     # 992 / e0(256, 17), 40-digit reference evaluation
-    assert ring_clique_ratio_upper(16).tight == pytest.approx(0.95857193020505, abs=1e-12)
+    tight = ring_clique_energy_upper(16) / e0(256, 17)
+    assert tight == pytest.approx(0.95857193020505, abs=1e-12)
     # 39800 / (9899 sqrt(101)), 40-digit reference evaluation
-    assert ring_clique_ratio_upper(100).crude == pytest.approx(0.40006546287865, abs=1e-12)
+    assert ring_clique_ratio_upper(100) == pytest.approx(0.40006546287865, abs=1e-12)
     with pytest.raises(ValueError):
         ring_clique_ratio_upper(1)
 
 
 def test_ring_clique_tight_never_exceeds_crude():
+    # Dividing by the exact e0 instead of its lower estimate gives a bound
+    # no larger than the paper's.
     for q in range(3, 501):
-        bounds_q = ring_clique_ratio_upper(q)
-        assert bounds_q.tight <= bounds_q.crude
+        assert ring_clique_energy_upper(q) / e0(q * q, q + 1) <= ring_clique_ratio_upper(q)
+
+
+def test_ring_clique_ratio_upper_checks_the_e0_estimate(monkeypatch):
+    assert type(ring_clique_ratio_upper(4)) is float
+    monkeypatch.setattr(bounds, "e0", lambda n, k: 0.0)
+    with pytest.raises(ArithmeticError, match="lower estimate"):
+        ring_clique_ratio_upper(4)
 
 
 # ---------------------------------------------------------------------------

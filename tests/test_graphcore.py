@@ -16,7 +16,6 @@ from graphenergy.graphcore import (
     complete,
     cycle,
     delete_edge,
-    disjoint_union,
     empty,
     format_edge_list,
     from_edge_list,
@@ -124,6 +123,18 @@ def test_delete_edge():
         delete_edge(path3(), (0, 2))
 
 
+def test_endpoints_outside_the_graph_are_refused_not_wrapped():
+    # Negative indices would otherwise count from the end of the matrix.
+    with pytest.raises(ValueError, match=r"edge \(-1, 3\) has an endpoint outside 0\.\.4"):
+        delete_edge(cycle(5), (-1, 3))
+    with pytest.raises(ValueError, match=r"edge \(-5, -4\) has an endpoint outside 0\.\.4"):
+        delete_edge(cycle(5), (-5, -4))
+    with pytest.raises(ValueError, match=r"edge \(-1, 0\) has an endpoint outside 0\.\.4"):
+        cycle(5).has_edge(-1, 0)
+    with pytest.raises(ValueError, match="outside 0..4"):
+        cycle(5).has_edge(0, 5)
+
+
 def test_delete_edge_leaves_original_untouched():
     g = complete(3)
     delete_edge(g, (0, 1))
@@ -138,29 +149,13 @@ def test_delete_then_readd_restores():
     assert restored == g
 
 
-def test_disjoint_union():
-    two_k2 = disjoint_union(complete(2), complete(2))
-    assert (two_k2.n, two_k2.m) == (4, 2)
-    g = disjoint_union(empty(1), complete(3))
-    assert (g.n, g.m) == (4, 3)
-    assert g.degree_sequence() == [0, 2, 2, 2]
-    triple = disjoint_union(disjoint_union(complete(3), complete(3)), complete(3))
-    assert (triple.n, triple.m) == (9, 9)
-
-
-def test_disjoint_union_concatenates_degrees():
-    g1, g2 = path3(), complete(4)
-    u = disjoint_union(g1, g2)
-    assert u.degree_sequence() == g1.degree_sequence() + g2.degree_sequence()
-
-
 def test_degree_sequence_and_regularity():
     assert complete(5).regularity() == 4
     assert path3().regularity() is None
     assert cycle(5).regularity() == 2
     assert empty(3).regularity() == 0
     assert empty(0).regularity() is None
-    assert path3().degree_sequence() == [1, 2, 1]
+    assert path3().adjacency.sum(axis=0).tolist() == [1, 2, 1]
 
 
 def test_permute():
@@ -240,7 +235,6 @@ OVERSIZED = {
     "random_graph": lambda: random_graph(4097, 0, 0),
     "paley": lambda: paley(4129),
     "ring_of_cliques": lambda: ring_of_cliques(65),
-    "disjoint_union": lambda: disjoint_union(empty(2048), empty(2049)),
 }
 
 
@@ -458,6 +452,9 @@ def test_parse_edge_list_comments_and_blanks():
         ("3 1\nx y\n", "integer"),
         ("3 1\n0 1 2\n", "`u v`"),
         ("-1 0\n", "nonnegative"),
+        ("1_0 0\n", "vertex count must be an integer"),
+        ("+3 0\n", "vertex count must be an integer"),
+        ("\u0663 0\n", "vertex count must be an integer"),
     ],
 )
 def test_parse_edge_list_errors(text, message):
@@ -500,7 +497,7 @@ def test_permute_preserves_degree_multiset(g, rnd):
     perm = list(range(g.n))
     rnd.shuffle(perm)
     relabeled = permute(g, perm)
-    assert sorted(relabeled.degree_sequence()) == sorted(g.degree_sequence())
+    assert sorted(relabeled.adjacency.sum(axis=0)) == sorted(g.adjacency.sum(axis=0))
     assert (relabeled.n, relabeled.m) == (g.n, g.m)
 
 
@@ -511,3 +508,19 @@ def test_delete_readd_identity(g, pick):
         return
     e = g.edges()[pick % g.m]
     assert from_edge_list(g.n, delete_edge(g, e).edges() + [e]) == g
+
+
+# Pieces of the edge-list format, well-formed and not, for token-soup input.
+EDGE_LIST_SOUP = st.sampled_from(
+    ["0", "1", "2", "3", "-1", "4097", "9" * 30, "9" * 5000, "+3", "1_0", "\u0663", "1.5",
+     "0x1", "x", "#", " ", "\t", "\n", "\r\n", "\x00", "\u2028"]
+)
+
+
+@given(st.text() | st.lists(EDGE_LIST_SOUP, max_size=40).map("".join))
+@settings(deadline=None)
+def test_parse_edge_list_raises_nothing_but_value_error(text):
+    try:
+        parse_edge_list(text)
+    except ValueError:
+        pass

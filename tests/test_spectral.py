@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphenergy import tolerances as tol
+from graphenergy.bounds import EnergyReport
 from graphenergy.graphcore import (
+    Graph,
     complete,
     cycle,
     delete_edge,
-    disjoint_union,
     empty,
     from_edge_list,
     paley,
@@ -22,7 +23,6 @@ from graphenergy.graphcore import (
 )
 from graphenergy.spectral import (
     ConvergenceError,
-    EnergyReport,
     SuiteResult,
     eigenvalues,
     energy,
@@ -30,7 +30,6 @@ from graphenergy.spectral import (
     paley_spectrum_closed,
     ring_clique_spectrum_closed,
     shared_spectrum,
-    spectral_radius,
     trace_suite,
 )
 
@@ -140,14 +139,14 @@ def test_cycle5_energy_matches_circulant_oracle():
 
 
 def test_spectral_radius_examples():
-    assert spectral_radius(complete(5)) == pytest.approx(4.0, abs=1e-10)
-    assert spectral_radius(paley(13)) == pytest.approx(6.0, abs=1e-10)
-    assert spectral_radius(ring_of_cliques(3)) == pytest.approx(4.0, abs=1e-10)
+    assert eigenvalues(complete(5))[0] == pytest.approx(4.0, abs=1e-10)
+    assert eigenvalues(paley(13))[0] == pytest.approx(6.0, abs=1e-10)
+    assert eigenvalues(ring_of_cliques(3))[0] == pytest.approx(4.0, abs=1e-10)
 
 
 def test_spectral_radius_equals_degree_for_regular_graphs():
     for g in (cycle(7), paley(17), ring_of_cliques(4), complete(9)):
-        assert spectral_radius(g) == pytest.approx(g.regularity(), abs=1e-9)
+        assert eigenvalues(g)[0] == pytest.approx(g.regularity(), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +236,11 @@ def test_trace_identities(g):
 @given(graphs(), graphs())
 @settings(deadline=None)
 def test_energy_additive_over_disjoint_union(g1, g2):
-    assert energy(disjoint_union(g1, g2)) == pytest.approx(
+    n1, n = g1.n, g1.n + g2.n
+    adj = np.zeros((n, n), dtype=bool)
+    adj[:n1, :n1] = g1.adjacency
+    adj[n1:, n1:] = g2.adjacency
+    assert energy(Graph(adj)) == pytest.approx(
         energy(g1) + energy(g2), abs=tol.ENERGY_INVARIANCE_TOL
     )
 
@@ -258,7 +261,7 @@ def test_interlacing_after_edge_deletion(g, pick):
     if g.m == 0:
         return
     e = g.edges()[pick % g.m]
-    assert spectral_radius(delete_edge(g, e)) <= spectral_radius(g) + tol.BOUND_SLACK
+    assert eigenvalues(delete_edge(g, e))[0] <= eigenvalues(g)[0] + tol.BOUND_SLACK
 
 
 # ---------------------------------------------------------------------------
