@@ -8,7 +8,7 @@ ratio sweep tables, and the randomized/corpus verification suites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import spectral
 from . import tolerances as tol
@@ -53,11 +53,6 @@ def e0(n: int, k: int) -> float:
     return k + math.sqrt(k * (n - 1) * (n - k))
 
 
-def _e0_and_ratio(energy: float, n: int, k: int) -> tuple[float, float]:
-    bound = e0(n, k)
-    return bound, energy / bound
-
-
 @dataclass(frozen=True)
 class EnergyReport:
     """Energy summary for one graph; e0 and ratio are set for regular k >= 1."""
@@ -76,7 +71,8 @@ def energy_report(g: Graph) -> EnergyReport:
     vals = spectral.eigenvalues(g)
     en = spectral.spectrum_energy(vals)
     k = g.regularity()
-    bound, ratio = _e0_and_ratio(en, g.n, k) if k else (None, None)
+    bound = e0(g.n, k) if k else None
+    ratio = en / bound if k else None
     return EnergyReport(energy=en, spectral_radius=float(vals[0]), k=k, e0=bound, ratio=ratio)
 
 
@@ -189,31 +185,32 @@ class RatioRow:
     paper_bound: float
 
 
-def _ratio_row(family: str, param: int, use_closed_form: bool) -> RatioRow:
+_FAMILY_BUILDERS = {"paley": paley, "ring_of_cliques": ring_of_cliques}
+
+
+def _ratio_row(family: str, param: int) -> RatioRow:
     # The closed-form call checks param, so int() after it is exact and the
-    # Paley row needs no second check; its energy is computed once, for
-    # closed mode and the ring's closed_ratio.
+    # Paley row needs no second check.
     if family == "paley":
-        closed = paley_energy_closed(param)
+        energy = paley_energy_closed(param)
         param = int(param)
-        n, k, build = param, (param - 1) // 2, paley
+        n, k = param, (param - 1) // 2
         closed_ratio, paper_bound = _paley_ratio_closed(param), _paley_ratio_lower(param)
     else:
-        closed = ring_clique_energy_closed(param)
+        energy = ring_clique_energy_closed(param)
         param = int(param)
-        n, k, build = param * param, param + 1, ring_of_cliques
-        closed_ratio, paper_bound = closed / e0(n, k), ring_clique_ratio_upper(param)
-    en = closed if use_closed_form else spectral.energy(build(param))
-    bound, ratio = _e0_and_ratio(en, n, k)
+        n, k = param * param, param + 1
+        closed_ratio, paper_bound = energy / e0(n, k), ring_clique_ratio_upper(param)
+    bound = e0(n, k)
     return RatioRow(
         family=family,
         param=param,
         n=n,
         k=k,
         m=n * k // 2,
-        energy=en,
+        energy=energy,
         e0=bound,
-        ratio=ratio,
+        ratio=energy / bound,
         closed_ratio=closed_ratio,
         paper_bound=paper_bound,
     )
@@ -222,29 +219,30 @@ def _ratio_row(family: str, param: int, use_closed_form: bool) -> RatioRow:
 def ratio_table(family: str, params, use_closed_form: bool = False) -> list[RatioRow]:
     """One RatioRow per parameter, in input order.
 
-    family is "paley" or "ring_of_cliques". With use_closed_form the energy
-    comes from the closed-form spectrum (cheap, any size); otherwise the
-    graph is built and eigensolved, and every graph is checked against
-    tolerances.MAX_DENSE_N before the first solve. Any invalid parameter
-    aborts the whole table with an error naming it.
+    family is "paley" or "ring_of_cliques". Every row is first computed
+    from the closed-form spectrum (cheap, any size), which checks each
+    parameter. Without use_closed_form every graph is then checked against
+    tolerances.MAX_DENSE_N, and only after that built and eigensolved for the
+    row's energy and ratio. Any invalid parameter aborts the whole table
+    with an error naming it.
     """
-    families = ("paley", "ring_of_cliques")
-    if family not in families:
-        raise ValueError(f"family must be one of {list(families)}, got {family!r}")
+    if family not in _FAMILY_BUILDERS:
+        raise ValueError(f"family must be one of {list(_FAMILY_BUILDERS)}, got {family!r}")
     params = list(params)
     rows = []
     try:
-        if not use_closed_form:
-            # Refuse an oversized graph before the first solve, not after many.
-            for param in params:
-                if family == "paley":
-                    check_dense_size(check_paley_parameter(param))
-                else:
-                    check_dense_size(check_ring_parameter(param) ** 2)
         for param in params:
-            rows.append(_ratio_row(family, param, use_closed_form))
+            rows.append(_ratio_row(family, param))
+        if not use_closed_form:
+            for param, row in zip(params, rows):
+                check_dense_size(row.n)
     except ValueError as exc:
         raise ValueError(f"invalid {family} parameter {param}: {exc}") from None
+    if not use_closed_form:
+        build = _FAMILY_BUILDERS[family]
+        for i, row in enumerate(rows):
+            energy = spectral.energy(build(row.param))
+            rows[i] = replace(row, energy=energy, ratio=energy / row.e0)
     return rows
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import re
 import sys
 import typing
 
@@ -21,13 +20,12 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 CSV_HEADER = ",".join(field.name for field in dataclasses.fields(bounds.RatioRow))
-# One %-format per CSV row: "%.12g" gives the bytes _fmt gives, "%s" those of str.
+# One %-format per CSV row. Every float the CLI prints is "%.12g": 12
+# significant digits, trailing zeros trimmed, stable across runs.
 _ROW_FORMAT = ",".join(
     "%.12g" if typing.get_type_hints(bounds.RatioRow)[field.name] is float else "%s"
     for field in dataclasses.fields(bounds.RatioRow)
 )
-
-_RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
 
 class _UsageError(Exception):
@@ -41,30 +39,34 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    """12 significant digits, trailing zeros trimmed; stable across runs."""
-    return f"{x:.12g}"
+def _int(text: str) -> int:
+    # argparse type: the edge-list integer rule, in argparse's own wording
+    try:
+        return graphcore.read_int(text, "argument")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _u64(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError(f"seed must be an unsigned 64-bit integer, got {text}")
     return value
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"trials must be at least 1, got {text}")
     return value
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    match = _RANGE_RE.match(text)
-    if not match:
-        raise ValueError(f"range must look like `lo..hi`, got {text!r}")
-    return int(match.group(1)), int(match.group(2))
+    lo, _, hi = text.partition("..")
+    try:
+        return graphcore.read_int(lo, "range bound"), graphcore.read_int(hi, "range bound")
+    except ValueError:
+        raise ValueError(f"range must look like `lo..hi`, got {text!r}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -85,14 +87,10 @@ _GEN_BUILDERS = {
 
 def _cmd_gen(args) -> int:
     g = _GEN_BUILDERS[args.family](args.param)
-    summary = f"n {g.n}\nm {g.m}\nk {g.regularity()}\n"
-    if args.out is None:
-        # edge list owns stdout; keep the summary out of the piped format
-        sys.stdout.write(graphcore.format_edge_list(g))
-        sys.stderr.write(summary)
-    else:
-        graphcore.write_edge_list(g, args.out)
-        sys.stdout.write(summary)
+    _emit(graphcore.format_edge_list(g), args.out)
+    # without --out the edge list owns stdout; keep the summary out of it
+    summary = sys.stderr if args.out is None else sys.stdout
+    summary.write(f"n {g.n}\nm {g.m}\nk {g.regularity()}\n")
     return EXIT_OK
 
 
@@ -101,11 +99,10 @@ def _cmd_energy(args) -> int:
     report = bounds.energy_report(g)
     lines = [f"n {g.n}", f"m {g.m}"]
     lines.append(f"k {report.k}" if report.k is not None else "k not regular")
-    lines.append(f"energy {_fmt(report.energy)}")
-    lines.append(f"spectral_radius {_fmt(report.spectral_radius)}")
+    values = [("energy", report.energy), ("spectral_radius", report.spectral_radius)]
     if report.ratio is not None:
-        lines.append(f"e0 {_fmt(report.e0)}")
-        lines.append(f"ratio {_fmt(report.ratio)}")
+        values += [("e0", report.e0), ("ratio", report.ratio)]
+    lines.extend("%s %.12g" % pair for pair in values)
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -153,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a family graph as an edge-list file")
     gen.add_argument("family", choices=sorted(_GEN_BUILDERS))
-    gen.add_argument("param", type=int, help="p, q, or n depending on the family")
+    gen.add_argument("param", type=_int, help="p, q, or n depending on the family")
     gen.add_argument("--out", default=None, help="output path (default: stdout)")
     gen.set_defaults(func=_cmd_gen)
 
@@ -181,6 +178,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse up to Python 3.11 at least stores [] for a "--" value, unchecked.
+        if [] in vars(args).values():
+            raise _UsageError("`--` is not an argument value")
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_VALIDATION

@@ -34,13 +34,14 @@ __all__ = [
     "permute",
     "random_graph",
     "read_edge_list",
+    "read_int",
     "ring_of_cliques",
     "splitmix64",
     "write_edge_list",
 ]
 
 _MASK64 = 2**64 - 1
-_SIEVE_SEGMENT = 2**18  # integers per paley_primes segment; a multiple of 4
+_SIEVE_SEGMENT = 2**18  # integers per paley_primes segment
 
 
 class Edge(NamedTuple):
@@ -52,7 +53,7 @@ class Edge(NamedTuple):
 
 def _as_edge(e: tuple[int, int]) -> Edge:
     u, v = e
-    u, v = int(u), int(v)
+    u, v = check_integer(u, "edge endpoint"), check_integer(v, "edge endpoint")
     if u == v:
         raise ValueError(f"loop edge ({u}, {v}) is not allowed")
     if u > v:
@@ -99,7 +100,8 @@ class Graph:
         return self._adj
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Whether u and v are adjacent; both must lie in 0..n-1."""
+        """Whether u and v are adjacent; both must be integers in 0..n-1."""
+        u, v = check_integer(u, "edge endpoint"), check_integer(v, "edge endpoint")
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{self.n - 1}")
         return bool(self._adj[u, v])
@@ -135,7 +137,9 @@ class Graph:
 
 
 def check_dense_size(n: int) -> None:
-    """Refuse a graph on more than MAX_DENSE_N vertices before it is stored."""
+    """Refuse a negative n, or n above MAX_DENSE_N before a graph is stored."""
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n > MAX_DENSE_N:
         raise ValueError(
             f"graph on {n} vertices exceeds the dense-size limit of {MAX_DENSE_N} vertices"
@@ -144,8 +148,6 @@ def check_dense_size(n: int) -> None:
 
 def empty(n: int) -> Graph:
     """Graph with n vertices and no edges."""
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
     check_dense_size(n)
     return Graph(np.zeros((n, n), dtype=bool))
 
@@ -178,8 +180,6 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     Rejects loops, duplicate edges (in either orientation), and endpoints
     outside 0..n-1, each with its own error message.
     """
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
     check_dense_size(n)
     adj = np.zeros((n, n), dtype=bool)
     for e in edges:
@@ -285,13 +285,12 @@ def paley_primes(lo: int, hi: int) -> list[int]:
 
     A segmented sieve of Eratosthenes, with no primality test per candidate.
     The window is cut into segments of _SIEVE_SEGMENT integers at multiples
-    of _SIEVE_SEGMENT. Each segment holds one flag per integer == 1 (mod 4)
-    and clears the multiples of every odd prime whose square lies below the
-    segment's end, starting at that square; the odd primes up to
-    sqrt(min(hi, 2**31 - 1)) come from a plain sieve first. A multiple p*j of
-    an odd prime p is == 1 (mod 4) exactly when j == p (mod 4), so each
-    prime's flags are p apart. Memory is O(_SIEVE_SEGMENT) whatever the
-    window's width.
+    of _SIEVE_SEGMENT. Each segment holds one flag per integer and clears the
+    multiples of every odd prime whose square lies below the segment's end,
+    from that square or the segment's first multiple of the prime, whichever
+    is larger; the odd primes up to sqrt(min(hi, 2**31 - 1)) come from a
+    plain sieve first. The survivors == 1 (mod 4) inside the window are the
+    result. Memory is O(_SIEVE_SEGMENT) whatever the window's width.
     """
     start = max(lo, 5)
     stop = min(hi, FIELD_MODULUS_CAP - 1)
@@ -301,17 +300,14 @@ def paley_primes(lo: int, hi: int) -> list[int]:
     found: list[int] = []
     for seg_lo in range(start - start % _SIEVE_SEGMENT, stop + 1, _SIEVE_SEGMENT):
         seg_end = seg_lo + _SIEVE_SEGMENT
-        # flag i stands for seg_lo + 1 + 4i; seg_lo is a multiple of 4
-        flags = np.ones(_SIEVE_SEGMENT // 4, dtype=bool)
+        flags = np.ones(_SIEVE_SEGMENT, dtype=bool)  # flag i stands for seg_lo + i
         for p in base:
             square = p * p
             if square >= seg_end:
                 break
-            j = -(-max(square, seg_lo) // p)
-            j += (p - j) % 4
-            flags[(p * j - seg_lo - 1) // 4 :: p] = False
-        values = seg_lo + 1 + 4 * np.flatnonzero(flags)
-        found.extend(values[(values >= start) & (values <= stop)].tolist())
+            flags[max(square, -(-seg_lo // p) * p) - seg_lo :: p] = False
+        values = seg_lo + np.flatnonzero(flags)
+        found.extend(values[(values % 4 == 1) & (values >= start) & (values <= stop)].tolist())
     return found
 
 
@@ -378,12 +374,10 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
     positions are stored (in a dict), so besides the n x n matrix the
     sampling takes O(m) memory, not O(U).
     """
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    check_dense_size(n)
     universe = n * (n - 1) // 2
     if m < 0 or m > universe:
         raise ValueError(f"edge count must be in 0..{universe} for n={n}, got {m}")
-    check_dense_size(n)
     displaced: dict[int, int] = {}
     us, vs = [], []
     stream = splitmix64(seed)
@@ -429,9 +423,11 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _int_token(token: str, what: str) -> int:
-    # ASCII -?[0-9]+ only: int() alone also takes "1_0", "+3" and non-ASCII
-    # digits, and past its digit limit raises a ValueError of its own.
+def read_int(token: str, what: str) -> int:
+    """The integer token spells as ASCII `-?[0-9]+`, else a ValueError naming
+    `what`. Edge lists and CLI arguments are read by this one rule: int()
+    alone also takes "1_0", "+3", padding and non-ASCII digits, and past its
+    digit limit raises a ValueError of its own."""
     if token.isascii() and (token.isdigit() or token[:1] == "-" and token[1:].isdigit()):
         try:
             return int(token)
@@ -456,8 +452,8 @@ def parse_edge_list(text: str) -> Graph:
     head = rows[0].split()
     if len(head) != 2:
         raise ValueError(f"header must be `n m`, got {rows[0]!r}")
-    n = _int_token(head[0], "vertex count")
-    m = _int_token(head[1], "edge count")
+    n = read_int(head[0], "vertex count")
+    m = read_int(head[1], "edge count")
     if n < 0 or m < 0:
         raise ValueError(f"header counts must be nonnegative, got {rows[0]!r}")
     if len(rows) - 1 != m:
@@ -467,8 +463,8 @@ def parse_edge_list(text: str) -> Graph:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"edge line must be `u v`, got {line!r}")
-        u = _int_token(parts[0], "edge endpoint")
-        v = _int_token(parts[1], "edge endpoint")
+        u = read_int(parts[0], "edge endpoint")
+        v = read_int(parts[1], "edge endpoint")
         if u >= v:
             raise ValueError(f"edge lines must satisfy u < v, got {line!r}")
         edges.append((u, v))

@@ -1,5 +1,6 @@
 """Bound evaluation, closed forms, chain inequalities, and ratio tables."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -254,14 +255,13 @@ def test_ratio_table_paley_modes_agree():
 
 
 def test_ratio_table_modes_agree_across_families():
-    for p in (5, 13, 17):
-        numeric, = ratio_table("paley", [p])
-        closed, = ratio_table("paley", [p], use_closed_form=True)
-        assert numeric.ratio == pytest.approx(closed.ratio, abs=tol.MODE_AGREEMENT_TOL)
-    for q in (3, 4, 5):
-        numeric, = ratio_table("ring_of_cliques", [q])
-        closed, = ratio_table("ring_of_cliques", [q], use_closed_form=True)
-        assert numeric.ratio == pytest.approx(closed.ratio, abs=tol.MODE_AGREEMENT_TOL)
+    # numeric mode replaces only the closed row's energy and ratio
+    for family, params in (("paley", [5, 13, 17]), ("ring_of_cliques", [3, 4, 5])):
+        closed_rows = ratio_table(family, params, use_closed_form=True)
+        for numeric, closed in zip(ratio_table(family, params), closed_rows, strict=True):
+            assert numeric.ratio == pytest.approx(closed.ratio, abs=tol.MODE_AGREEMENT_TOL)
+            assert numeric.ratio == numeric.energy / numeric.e0
+            assert dataclasses.replace(numeric, energy=closed.energy, ratio=closed.ratio) == closed
 
 
 def test_ratio_table_ring_3_closed():
@@ -301,6 +301,9 @@ def test_ratio_table_numeric_checks_every_size_before_the_first_solve(solve_coun
         ratio_table("ring_of_cliques", iter([3, 65]))
     with pytest.raises(ValueError, match="paley parameter 12: .* prime"):
         ratio_table("paley", [13, 12])
+    # every parameter is checked before any size: the invalid 2 is named, not 65
+    with pytest.raises(ValueError, match="ring_of_cliques parameter 2: .* q >= 3"):
+        ratio_table("ring_of_cliques", [65, 2])
     assert solve_counter == []
     # closed mode builds no graph, so it has no size limit
     assert ratio_table("ring_of_cliques", [65], use_closed_form=True)[0].n == 4225
@@ -317,6 +320,10 @@ def test_paley_ratio_row_checks_its_prime_once(monkeypatch):
 
     monkeypatch.setattr(bounds, "check_paley_parameter", counting_check)
     ratio_table("paley", [13, 17], use_closed_form=True)
+    assert calls == [13, 17]
+    # numeric mode checks through the same closed rows, with no pre-check of its own
+    calls.clear()
+    ratio_table("paley", [13, 17])
     assert calls == [13, 17]
 
 

@@ -1,9 +1,14 @@
 """Command-line behavior: formats, exit codes, and determinism."""
 
+import contextlib
 import hashlib
+import io
 import math
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphenergy import cli, spectral
 from graphenergy.graphcore import from_edge_list, write_edge_list
@@ -297,6 +302,61 @@ def test_verify_reports_failures_with_inputs(capsys, monkeypatch):
     assert code == 1
     assert "lemma: 0/2 pass" in out
     assert "FAIL" in out and "seed" in out and "edge" in out
+
+
+# ---------------------------------------------------------------------------
+# integer arguments
+
+
+# Exact stderr, exit 1. The first six are integers to int() and \d but not
+# to the edge-list rule.
+CLI_INTEGER_ERRORS = {
+    ("ratio-table", "paley", "\u0665..\u0661\u0667", "--mode", "closed"):
+        "error: range must look like `lo..hi`, got '\u0665..\u0661\u0667'\n",
+    ("gen", "cycle", "1_0"): "usage error: argument param: invalid int value: '1_0'\n",
+    ("gen", "cycle", "+4"): "usage error: argument param: invalid int value: '+4'\n",
+    ("gen", "cycle", " 4"): "usage error: argument param: invalid int value: ' 4'\n",
+    ("verify", "lemma", "--trials", "+2", "--seed", "1_0"):
+        "usage error: argument --trials: invalid int value: '+2'\n",
+    ("verify", "lemma", "--seed", "1_0"): "usage error: argument --seed: invalid int value: '1_0'\n",
+    ("gen", "cycle", "x"): "usage error: argument param: invalid int value: 'x'\n",
+    ("verify", "lemma", "--trials", "x"): "usage error: argument --trials: invalid int value: 'x'\n",
+    ("verify", "lemma", "--seed", "x"): "usage error: argument --seed: invalid int value: 'x'\n",
+    ("ratio-table", "paley", "5..x"): "error: range must look like `lo..hi`, got '5..x'\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(CLI_INTEGER_ERRORS), ids=" ".join)
+def test_cli_integers_follow_the_edge_list_rule(capsys, argv):
+    assert run(capsys, *argv) == (1, "", CLI_INTEGER_ERRORS[argv])
+
+
+def exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+INTEGER_TOKENS = (
+    st.text()
+    | st.integers(-10, 5000).map(str)
+    | st.integers(-(2**70), 2**70).map(str)
+    | st.lists(
+        st.sampled_from(["-", "+", "0", "3", "9", "_", " ", "\n", "\u0663", "--", "-h", "=", "e"]),
+        max_size=6,
+    ).map("".join)
+)
+
+
+@given(INTEGER_TOKENS)
+@example("--")  # argparse up to Python 3.11 at least stores [] for it, unchecked
+@example("-0")
+@settings(deadline=None)
+def test_cli_exit_code_is_0_exactly_for_plain_integers_in_range(t):
+    # `--` and `--seed=` keep argparse from reading a token such as -h as an option
+    plain = re.fullmatch("-?[0-9]+", t) is not None
+    assert exit_code(["gen", "cycle", "--", t]) == (0 if plain and 3 <= int(t) <= 4096 else 1)
+    seed_ok = plain and 0 <= int(t) < 2**64
+    assert exit_code(["verify", "lemma", "--trials", "1", f"--seed={t}"]) == (0 if seed_ok else 1)
 
 
 # ---------------------------------------------------------------------------

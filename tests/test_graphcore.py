@@ -135,6 +135,21 @@ def test_endpoints_outside_the_graph_are_refused_not_wrapped():
         cycle(5).has_edge(0, 5)
 
 
+def test_edge_endpoints_must_be_integers_not_truncated():
+    # int() would read (0.5, 1) as the edge (0, 1) and "1" as the vertex 1
+    with pytest.raises(ValueError, match="edge endpoint must be an integer, got 0.5"):
+        delete_edge(cycle(5), (0.5, 1))
+    with pytest.raises(ValueError, match="edge endpoint must be an integer, got 0.7"):
+        from_edge_list(3, [(0.7, 1.2), ("1", "2")])
+    with pytest.raises(ValueError, match="edge endpoint must be an integer, got 1"):
+        from_edge_list(3, [("1", "2")])
+    with pytest.raises(ValueError, match="edge endpoint must be an integer, got 0.5"):
+        cycle(5).has_edge(0.5, 1)
+    assert cycle(5).has_edge(np.int64(0), np.uint8(1)) and cycle(5).has_edge(0.0, 4)
+    assert from_edge_list(3, [(np.int32(0), 1.0)]) == from_edge_list(3, [(0, 1)])
+    assert delete_edge(cycle(5), (np.int64(1), 0)) == delete_edge(cycle(5), (0, 1))
+
+
 def test_delete_edge_leaves_original_untouched():
     g = complete(3)
     delete_edge(g, (0, 1))
@@ -248,8 +263,12 @@ def test_dense_size_limit_admits_its_own_size_and_keeps_parameter_messages():
     check_dense_size(4096)
     with pytest.raises(ValueError, match="must be prime"):
         paley(4097 * 4099)
-    with pytest.raises(ValueError, match="nonnegative"):
-        empty(-5000)
+    for build in (
+        lambda: empty(-5000), lambda: empty(-1), lambda: from_edge_list(-1, []),
+        lambda: random_graph(-1, 0, 0), lambda: check_dense_size(-1),
+    ):
+        with pytest.raises(ValueError, match="vertex count must be nonnegative, got -"):
+            build()
 
 
 def test_paley_translation_invariance():
