@@ -27,7 +27,6 @@ from .bounds import (
 )
 from .finitefield import is_prime
 from .graphcore import (
-    Edge,
     Graph,
     check_paley_parameter,
     complete,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError",
-    "Edge",
     "EdgeDeletionCheck",
     "EnergyReport",
     "Graph",

@@ -221,21 +221,21 @@ def ratio_table(family: str, params, use_closed_form: bool = False) -> list[Rati
 
     family is "paley" or "ring_of_cliques". Every row is first computed
     from the closed-form spectrum (cheap, any size), which checks each
-    parameter. Without use_closed_form every graph is then checked against
-    tolerances.MAX_DENSE_N, and only after that built and eigensolved for the
-    row's energy and ratio. Any invalid parameter aborts the whole table
-    with an error naming it.
+    parameter. Without use_closed_form each row's graph is also checked
+    against tolerances.MAX_DENSE_N as the row is computed, and only once
+    every row is in are the graphs built and eigensolved for the rows'
+    energy and ratio. The first invalid parameter, in input order, aborts
+    the whole table with an error naming it.
     """
     if family not in _FAMILY_BUILDERS:
         raise ValueError(f"family must be one of {list(_FAMILY_BUILDERS)}, got {family!r}")
-    params = list(params)
     rows = []
     try:
         for param in params:
-            rows.append(_ratio_row(family, param))
-        if not use_closed_form:
-            for param, row in zip(params, rows):
+            row = _ratio_row(family, param)
+            if not use_closed_form:
                 check_dense_size(row.n)
+            rows.append(row)
     except ValueError as exc:
         raise ValueError(f"invalid {family} parameter {param}: {exc}") from None
     if not use_closed_form:
@@ -270,17 +270,16 @@ def lemma_suite(trials: int, seed: int) -> spectral.SuiteResult:
         result.check(
             check.holds,
             f"trial {trial}: graph(n={n}, m={m}, seed={graph_seed}), "
-            f"edge={tuple(e)}, lhs={check.lhs!r}, rhs={check.rhs!r}",
+            f"edge={e}, lhs={check.lhs!r}, rhs={check.rhs!r}",
         )
     return result
 
 
-def bounds_suite(spectra: dict | None = None) -> spectral.SuiteResult:
+def bounds_suite(spectra: dict) -> spectral.SuiteResult:
     """energy <= e0 over the regular corpus, with equality exactly for K_n:
     Paley graphs with p <= 200, rings of cliques with q <= 12, K_1..K_50
     and C_3..C_50, 129 graphs in all. Spectra are looked up in and stored
     into `spectra` (see spectral.shared_spectrum)."""
-    spectra = {} if spectra is None else spectra
     result = spectral.SuiteResult("bounds")
     for label, g in family_corpus(200, 12, range(1, 51), range(3, 51)):
         k = g.regularity()

@@ -8,7 +8,7 @@ seeded random graphs for property tests, and the edge-list text format.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .finitefield import FIELD_MODULUS_CAP, check_integer, is_prime
 from .tolerances import MAX_DENSE_N
 
 __all__ = [
-    "Edge",
     "Graph",
     "check_dense_size",
     "check_paley_parameter",
@@ -44,21 +43,18 @@ _MASK64 = 2**64 - 1
 _SIEVE_SEGMENT = 2**18  # integers per paley_primes segment
 
 
-class Edge(NamedTuple):
-    """An undirected edge, stored with u < v."""
-
-    u: int
-    v: int
-
-
-def _as_edge(e: tuple[int, int]) -> Edge:
+def _as_edge(e: tuple[int, int], n: int) -> tuple[int, int]:
+    """Edge e of a graph on n vertices as integers u < v: each endpoint must
+    be an integer, the edge not a loop, and both endpoints in 0..n-1."""
     u, v = e
     u, v = check_integer(u, "edge endpoint"), check_integer(v, "edge endpoint")
     if u == v:
         raise ValueError(f"loop edge ({u}, {v}) is not allowed")
     if u > v:
         u, v = v, u
-    return Edge(u, v)
+    if u < 0 or v >= n:
+        raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+    return u, v
 
 
 class Graph:
@@ -106,10 +102,10 @@ class Graph:
             raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{self.n - 1}")
         return bool(self._adj[u, v])
 
-    def edges(self) -> list[Edge]:
-        """All edges in ascending lexicographic order."""
+    def edges(self) -> list[tuple[int, int]]:
+        """All edges as (u, v) int pairs, u < v, in ascending lexicographic order."""
         rows, cols = np.nonzero(np.triu(self._adj))
-        return [Edge(int(u), int(v)) for u, v in zip(rows, cols)]
+        return list(zip(rows.tolist(), cols.tolist()))
 
     def regularity(self) -> int | None:
         """The common degree k if the graph is regular, else None.
@@ -183,9 +179,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     check_dense_size(n)
     adj = np.zeros((n, n), dtype=bool)
     for e in edges:
-        u, v = _as_edge(e)
-        if u < 0 or v >= n:
-            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+        u, v = _as_edge(e, n)
         if adj[u, v]:
             raise ValueError(f"duplicate edge ({u}, {v})")
         adj[u, v] = True
@@ -195,12 +189,12 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
     """New graph with edge e removed; e must be present."""
-    edge = _as_edge(e)
-    if not g.has_edge(edge.u, edge.v):
-        raise ValueError(f"edge ({edge.u}, {edge.v}) is not in the graph")
+    u, v = _as_edge(e, g.n)
+    if not g.adjacency[u, v]:
+        raise ValueError(f"edge ({u}, {v}) is not in the graph")
     adj = g.adjacency.copy()
-    adj[edge.u, edge.v] = False
-    adj[edge.v, edge.u] = False
+    adj[u, v] = False
+    adj[v, u] = False
     return Graph(adj)
 
 

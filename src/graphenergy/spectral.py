@@ -235,11 +235,10 @@ def _random_graphs(trials: int, stream):
         yield f"random_graph(n={n}, m={m}, seed={s})", random_graph(n, m, s)
 
 
-def trace_suite(trials: int = 100, seed: int = 0, spectra: dict | None = None) -> SuiteResult:
+def trace_suite(trials: int, seed: int, spectra: dict) -> SuiteResult:
     """Check the two trace identities, sum(l) = 0 and sum(l^2) = 2m, over
     the 32 family graphs with n <= 100 and `trials` seeded random graphs.
     Spectra are looked up in and stored into `spectra` (see shared_spectrum)."""
-    spectra = {} if spectra is None else spectra
     result = SuiteResult("trace")
     randoms = _random_graphs(trials, splitmix64(seed))
     families = family_corpus(97, 10, (1, 2, 3, 5, 10, 25), (3, 4, 5, 10, 25), (1, 4))
@@ -252,11 +251,10 @@ def trace_suite(trials: int = 100, seed: int = 0, spectra: dict | None = None) -
     return result
 
 
-def closed_forms_suite(spectra: dict | None = None) -> SuiteResult:
+def closed_forms_suite(spectra: dict) -> SuiteResult:
     """Check the eigensolver against both closed-form spectra, entrywise, on
     the Paley graphs with p <= 200 and the rings of cliques with q <= 12.
     Spectra are looked up in and stored into `spectra` (see shared_spectrum)."""
-    spectra = {} if spectra is None else spectra
     result = SuiteResult("closed-forms")
     cases = itertools.chain(
         ((paley, paley_spectrum_closed, p) for p in paley_primes(5, 200)),

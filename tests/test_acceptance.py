@@ -26,11 +26,10 @@ from graphenergy.spectral import (
     paley_spectrum_closed,
     ring_clique_spectrum_closed,
 )
+from graphenergy.tolerances import BOUND_SLACK, CLOSED_SPECTRUM_TOL
 
-SPECTRUM_TOL = 1e-7
 ENERGY_TOL = 1e-6
 RATIO_TOL = 1e-5
-BOUND_TOL = 1e-8
 
 
 def _report(capsys, criterion: str, ok: bool, detail: str = "") -> None:
@@ -44,7 +43,7 @@ def test_criterion_1_paley_spectrum_exactness(paley_spectra_200, capsys):
     bad = []
     for p, vals in paley_spectra_200.items():
         dev = float(np.abs(vals - paley_spectrum_closed(p)).max())
-        if dev > SPECTRUM_TOL:
+        if dev > CLOSED_SPECTRUM_TOL:
             bad.append(f"p={p} dev={dev:.3e}")
     _report(capsys, "1: paley spectra match closed form for p <= 200", not bad, "; ".join(bad))
 
@@ -89,7 +88,7 @@ def test_criterion_3_paley_ratio_trend(paley_spectra_200, paley_spectrum_401, ca
     ratio401 = float(np.abs(paley_spectrum_401).sum()) / e0(401, 200)
     if not ratio401 > 0.998:
         problems.append(f"eigensolver ratio at 401 = {ratio401!r}")
-    if abs(ratio401 - paley_ratio_closed(401)) > SPECTRUM_TOL:
+    if abs(ratio401 - paley_ratio_closed(401)) > CLOSED_SPECTRUM_TOL:
         problems.append(f"eigensolver/closed ratio mismatch at 401: {ratio401!r}")
 
     _report(capsys, "3: paley ratio trend toward 1 with proof-chain bounds",
@@ -102,7 +101,7 @@ def test_criterion_4_ring_of_cliques_small_case(ring_spectra_12, capsys):
     ratio = en / e0(9, 4)
     expected_ratio = 16.0 / (4.0 + math.sqrt(160.0))
     problems = []
-    if abs(en - 16.0) > BOUND_TOL:
+    if abs(en - 16.0) > BOUND_SLACK:
         problems.append(f"energy={en!r}")
     if abs(ratio - 0.961013) > RATIO_TOL or abs(ratio - expected_ratio) > RATIO_TOL:
         problems.append(f"ratio={ratio!r}")
@@ -117,13 +116,13 @@ def test_criterion_4_ring_of_cliques_small_case(ring_spectra_12, capsys):
 def test_criterion_5_ring_bound_and_trend(ring_spectra_12, capsys):
     problems = []
     for q, vals in ring_spectra_12.items():
-        if float(np.abs(vals).sum()) > ring_clique_energy_upper(q) + BOUND_TOL:
+        if float(np.abs(vals).sum()) > ring_clique_energy_upper(q) + BOUND_SLACK:
             problems.append(f"eigensolver energy exceeds 4q^2-2q at q={q}")
     ratios = {}
     for q in range(3, 201):
         en = ring_clique_energy_closed(q)
         ratios[q] = en / e0(q * q, q + 1)
-        if en > ring_clique_energy_upper(q) + BOUND_TOL:
+        if en > ring_clique_energy_upper(q) + BOUND_SLACK:
             problems.append(f"closed energy exceeds 4q^2-2q at q={q}")
     if not ratios[100] < 0.3:
         problems.append(f"ratio at q=100 is {ratios[100]!r}")
@@ -144,7 +143,7 @@ def test_criterion_7_ring_closed_form_oracle(ring_spectra_12, capsys):
     bad = []
     for q, vals in ring_spectra_12.items():
         dev = float(np.abs(vals - ring_clique_spectrum_closed(q)).max())
-        if dev > SPECTRUM_TOL:
+        if dev > CLOSED_SPECTRUM_TOL:
             bad.append(f"q={q} dev={dev:.3e}")
     _report(capsys, "7: ring spectra match the product closed form for q = 3..12",
             not bad, "; ".join(bad))

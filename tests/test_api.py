@@ -7,7 +7,6 @@ import graphenergy
 
 PUBLIC = [
     "ConvergenceError",
-    "Edge",
     "EdgeDeletionCheck",
     "EnergyReport",
     "Graph",
@@ -53,7 +52,7 @@ PUBLIC = [
 
 
 def test_package_exports_exactly_the_public_names():
-    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 43
+    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 42
     assert graphenergy.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(graphenergy, name) is not None, name

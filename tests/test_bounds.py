@@ -301,12 +301,29 @@ def test_ratio_table_numeric_checks_every_size_before_the_first_solve(solve_coun
         ratio_table("ring_of_cliques", iter([3, 65]))
     with pytest.raises(ValueError, match="paley parameter 12: .* prime"):
         ratio_table("paley", [13, 12])
-    # every parameter is checked before any size: the invalid 2 is named, not 65
-    with pytest.raises(ValueError, match="ring_of_cliques parameter 2: .* q >= 3"):
+    # each row is checked as it is computed: the first bad parameter is named
+    with pytest.raises(ValueError, match="ring_of_cliques parameter 65: .* dense-size limit"):
         ratio_table("ring_of_cliques", [65, 2])
+    with pytest.raises(ValueError, match="ring_of_cliques parameter 2: .* q >= 3"):
+        ratio_table("ring_of_cliques", [2, 65])
     assert solve_counter == []
     # closed mode builds no graph, so it has no size limit
     assert ratio_table("ring_of_cliques", [65], use_closed_form=True)[0].n == 4225
+
+
+def test_ratio_table_numeric_stops_at_the_first_oversized_row(solve_counter, monkeypatch):
+    calls = []
+    closed = bounds.ring_clique_energy_closed
+
+    def counting_closed(q):
+        calls.append(q)
+        return closed(q)
+
+    monkeypatch.setattr(bounds, "ring_clique_energy_closed", counting_closed)
+    with pytest.raises(ValueError, match="ring_of_cliques parameter 65: .* dense-size limit"):
+        ratio_table("ring_of_cliques", range(3, 1001))
+    assert calls == list(range(3, 66))
+    assert solve_counter == []
 
 
 def test_paley_ratio_row_checks_its_prime_once(monkeypatch):
@@ -400,12 +417,12 @@ def test_suites_on_one_dict_solve_each_family_graph_once(solve_counter):
     assert not any(vals.flags.writeable for vals in spectra.values())
 
 
-def test_suites_without_a_dict_solve_every_graph(solve_counter):
-    assert spectral.closed_forms_suite().ok
+def test_suites_with_a_fresh_dict_solve_every_graph(solve_counter):
+    assert spectral.closed_forms_suite({}).ok
     assert len(solve_counter) == 31
-    assert bounds_suite().ok
+    assert bounds_suite({}).ok
     assert len(solve_counter) == 31 + 129
-    assert spectral.trace_suite(trials=5, seed=2).ok
+    assert spectral.trace_suite(trials=5, seed=2, spectra={}).ok
     assert len(solve_counter) == 31 + 129 + 32 + 5
 
 

@@ -164,6 +164,14 @@ def test_delete_then_readd_restores():
     assert restored == g
 
 
+def test_edges_are_plain_pairs_of_ints():
+    assert path3().edges() == [(0, 1), (1, 2)]
+    edges = paley(13).edges()
+    assert len(edges) == 39 and edges == sorted(edges)
+    assert all(type(e) is tuple and len(e) == 2 and e[0] < e[1] for e in edges)
+    assert all(type(x) is int for e in edges for x in e)
+
+
 def test_degree_sequence_and_regularity():
     assert complete(5).regularity() == 4
     assert path3().regularity() is None

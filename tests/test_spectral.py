@@ -115,6 +115,31 @@ def test_jacobi_matches_lapack_on_random_symmetric_matrices():
         assert np.abs(mine - ref).max() < 1e-10
 
 
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric n x n matrices, n <= 10: integer, rank one (v v^T), or with
+    every eigenvalue repeated (kron(I_2, B))."""
+    kind = draw(st.sampled_from(["integer", "rank one", "repeated"]))
+    if kind == "rank one":
+        v = np.array(draw(st.lists(st.integers(-20, 20), min_size=1, max_size=10)), dtype=float)
+        return np.outer(v, v)
+    n = draw(st.integers(1, 10 if kind == "integer" else 5))
+    entries = draw(st.lists(st.integers(-50, 50), min_size=n * n, max_size=n * n))
+    a = np.array(entries, dtype=float).reshape(n, n)
+    a = np.triu(a) + np.triu(a, 1).T
+    return a if kind == "integer" else np.kron(np.eye(2), a)
+
+
+@given(symmetric_matrices())
+@settings(deadline=None)
+def test_jacobi_commutes_with_power_of_two_scaling_and_matches_lapack(a):
+    vals = jacobi_eigenvalues(a)
+    for k in (500, -500):
+        assert np.array_equal(jacobi_eigenvalues(np.ldexp(a, k)), np.ldexp(vals, k))
+    scale = max(1.0, float(np.abs(a).max()))
+    assert np.abs(vals - np.linalg.eigvalsh(a)[::-1]).max() <= tol.CLOSED_SPECTRUM_TOL * scale
+
+
 def test_eigenvalues_sorted_descending():
     vals = eigenvalues(paley(13))
     assert all(a >= b for a, b in zip(vals, vals[1:]))
@@ -269,22 +294,22 @@ def test_interlacing_after_edge_deletion(g, pick):
 
 
 def test_trace_suite_passes():
-    result = trace_suite(trials=25, seed=11)
+    result = trace_suite(trials=25, seed=11, spectra={})
     assert result.ok
     assert result.passed == result.total > 25
 
 
 def test_trace_suite_case_count_is_32_family_graphs_plus_trials():
     # 11 Paley primes <= 97, rings q = 3..10, 6 complete, 5 cycles, 2 empty
-    assert trace_suite(trials=0, seed=0).total == 32
-    assert trace_suite(trials=3, seed=5).total == 32 + 3
+    assert trace_suite(trials=0, seed=0, spectra={}).total == 32
+    assert trace_suite(trials=3, seed=5, spectra={}).total == 32 + 3
 
 
 def test_trace_suite_rejects_bad_seed_before_any_solve(monkeypatch):
     calls = []
     monkeypatch.setattr("graphenergy.spectral.jacobi_eigenvalues", calls.append)
     with pytest.raises(ValueError, match="seed"):
-        trace_suite(trials=0, seed=-5)
+        trace_suite(trials=0, seed=-5, spectra={})
     assert calls == []
 
 
