@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 from . import spectral
 from . import tolerances as tol
+from .finitefield import check_integer
 from .graphcore import (
     Graph,
     check_dense_size,
@@ -45,7 +46,8 @@ __all__ = [
 
 
 def e0(n: int, k: int) -> float:
-    """Koolen-Moulton energy bound for k-regular graphs: k + sqrt(k(n-1)(n-k))."""
+    """Koolen-Moulton bound k + sqrt(k(n-1)(n-k)) for k-regular graphs; n, k integers."""
+    n, k = check_integer(n, "vertex count"), check_integer(k, "regular degree")
     if n < 1:
         raise ValueError(f"vertex count must be at least 1, got {n}")
     if k < 0 or k > n - 1:
@@ -112,12 +114,7 @@ def paley_energy_closed(p) -> float:
 
 def paley_ratio_lower(p) -> float:
     """Crude lower bound sqrt(p)/(sqrt(p) + 2) on the Paley energy ratio."""
-    return _paley_ratio_lower(check_paley_parameter(p))
-
-
-def _paley_ratio_lower(value: int) -> float:
-    root = math.sqrt(value)
-    return root / (root + 2.0)
+    return _ratio_row("paley", p).paper_bound
 
 
 def paley_ratio_closed(p) -> float:
@@ -127,15 +124,7 @@ def paley_ratio_closed(p) -> float:
     collapses to this two-radical form; it lies strictly between the crude
     chain bound and 1.
     """
-    return _paley_ratio_closed(check_paley_parameter(p))
-
-
-def _paley_ratio_closed(value: int) -> float:
-    root = math.sqrt(value)
-    ratio = (1.0 + root) / (1.0 + math.sqrt(value + 1))
-    if not root / (root + 2.0) < ratio < 1.0:
-        raise ArithmeticError("ratio left its proven bracket")
-    return ratio
+    return _ratio_row("paley", p).closed_ratio
 
 
 def ring_clique_energy_closed(q: int) -> float:
@@ -195,13 +184,18 @@ def _ratio_row(family: str, param: int) -> RatioRow:
         energy = paley_energy_closed(param)
         param = int(param)
         n, k = param, (param - 1) // 2
-        closed_ratio, paper_bound = _paley_ratio_closed(param), _paley_ratio_lower(param)
+        bound = e0(n, k)
+        root = math.sqrt(param)
+        closed_ratio = (1.0 + root) / (1.0 + math.sqrt(param + 1))
+        paper_bound = root / (root + 2.0)
+        if not paper_bound < closed_ratio < 1.0:
+            raise ArithmeticError("ratio left its proven bracket")
     else:
         energy = ring_clique_energy_closed(param)
         param = int(param)
         n, k = param * param, param + 1
-        closed_ratio, paper_bound = energy / e0(n, k), ring_clique_ratio_upper(param)
-    bound = e0(n, k)
+        bound = e0(n, k)
+        closed_ratio, paper_bound = energy / bound, ring_clique_ratio_upper(param)
     return RatioRow(
         family=family,
         param=param,

@@ -95,13 +95,6 @@ class Graph:
         """Read-only boolean adjacency matrix."""
         return self._adj
 
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether u and v are adjacent; both must be integers in 0..n-1."""
-        u, v = check_integer(u, "edge endpoint"), check_integer(v, "edge endpoint")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{self.n - 1}")
-        return bool(self._adj[u, v])
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) int pairs, u < v, in ascending lexicographic order."""
         rows, cols = np.nonzero(np.triu(self._adj))

@@ -79,10 +79,10 @@ def _jacobi_sweep(a: np.ndarray, skip: float) -> None:
             c = 1.0 / math.sqrt(1.0 + t * t)
             s = t * c
             half = s / (1.0 + c)  # tan of half the rotation angle
-            col_p = a[:, p].copy()
-            col_q = a[:, q].copy()
-            new_p = col_p - s * (col_q + half * col_p)
-            new_q = col_q + s * (col_p - half * col_q)
+            # views of rows p, q: a stays exactly symmetric, so they equal the columns
+            row_p, row_q = a[p], a[q]
+            new_p = row_p - s * (row_q + half * row_p)
+            new_q = row_q + s * (row_p - half * row_q)
             a[:, p] = new_p
             a[p, :] = new_p
             a[:, q] = new_q

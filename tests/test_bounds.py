@@ -69,6 +69,27 @@ def test_e0_rejections():
         e0(5, -1)
 
 
+@pytest.mark.parametrize(
+    "n, k, what",
+    [
+        (13.5, 6, "vertex count"),
+        (math.inf, 2, "vertex count"),
+        (math.nan, 2, "vertex count"),
+        (13, 6.5, "regular degree"),
+        (13, math.inf, "regular degree"),
+        ("13", 6, "vertex count"),
+    ],
+)
+def test_e0_refuses_non_integral_input(n, k, what):
+    # a truncated or float n would give a bound for no graph
+    with pytest.raises(ValueError, match=f"{what} must be an integer"):
+        e0(n, k)
+
+
+def test_e0_accepts_integral_numbers_of_any_type():
+    assert e0(np.int64(25), np.uint8(6)) == e0(25.0, 6) == e0(25, 6)
+
+
 # ---------------------------------------------------------------------------
 # energy ratio
 
