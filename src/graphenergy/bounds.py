@@ -250,6 +250,7 @@ def lemma_suite(trials: int, seed: int) -> spectral.SuiteResult:
     Each trial draws a graph and one random edge e, and checks both
     E(G) <= E(G - e) + 2 and l1(G - e) <= l1(G) with edge_deletion_check.
     """
+    trials = check_integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     result = spectral.SuiteResult("lemma")

@@ -10,11 +10,7 @@ holds every Paley parameter.
 
 from __future__ import annotations
 
-__all__ = [
-    "FIELD_MODULUS_CAP",
-    "check_integer",
-    "is_prime",
-]
+__all__ = ["is_prime"]
 
 # Exact below 4,759,123,141 (Jaeschke 1993), so on all of is_prime's domain.
 _MR_WITNESSES = (2, 7, 61)

@@ -17,14 +17,11 @@ from .tolerances import MAX_DENSE_N
 
 __all__ = [
     "Graph",
-    "check_dense_size",
     "check_paley_parameter",
-    "check_ring_parameter",
     "complete",
     "cycle",
     "delete_edge",
     "empty",
-    "family_corpus",
     "format_edge_list",
     "from_edge_list",
     "paley",
@@ -33,7 +30,6 @@ __all__ = [
     "permute",
     "random_graph",
     "read_edge_list",
-    "read_int",
     "ring_of_cliques",
     "splitmix64",
     "write_edge_list",
@@ -125,19 +121,22 @@ class Graph:
 # elementary builders and edits
 
 
-def check_dense_size(n: int) -> None:
-    """Refuse a negative n, or n above MAX_DENSE_N before a graph is stored."""
+def check_dense_size(n: int) -> int:
+    """n as an int, refusing a non-integral or negative n, or n above
+    MAX_DENSE_N, before a graph is stored."""
+    n = check_integer(n, "vertex count")
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n > MAX_DENSE_N:
         raise ValueError(
             f"graph on {n} vertices exceeds the dense-size limit of {MAX_DENSE_N} vertices"
         )
+    return n
 
 
 def empty(n: int) -> Graph:
     """Graph with n vertices and no edges."""
-    check_dense_size(n)
+    n = check_dense_size(n)
     return Graph(np.zeros((n, n), dtype=bool))
 
 
@@ -145,7 +144,7 @@ def complete(n: int) -> Graph:
     """The complete graph K_n."""
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
-    check_dense_size(n)
+    n = check_dense_size(n)
     adj = np.ones((n, n), dtype=bool)
     np.fill_diagonal(adj, False)
     return Graph(adj)
@@ -155,7 +154,7 @@ def cycle(n: int) -> Graph:
     """The cycle C_n, n >= 3."""
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
-    check_dense_size(n)
+    n = check_dense_size(n)
     adj = np.zeros((n, n), dtype=bool)
     idx = np.arange(n)
     adj[idx, (idx + 1) % n] = True
@@ -169,7 +168,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     Rejects loops, duplicate edges (in either orientation), and endpoints
     outside 0..n-1, each with its own error message.
     """
-    check_dense_size(n)
+    n = check_dense_size(n)
     adj = np.zeros((n, n), dtype=bool)
     for e in edges:
         u, v = _as_edge(e, n)
@@ -193,7 +192,7 @@ def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
 
 def permute(g: Graph, perm: Iterable[int]) -> Graph:
     """Relabel vertices: vertex u becomes perm[u]."""
-    p = [int(x) for x in perm]
+    p = [check_integer(x, "permutation entry") for x in perm]
     if sorted(p) != list(range(g.n)):
         raise ValueError(f"perm must be a permutation of 0..{g.n - 1}")
     idx = np.asarray(p, dtype=np.intp)
@@ -335,8 +334,9 @@ def splitmix64(seed: int) -> Iterator[int]:
 
     This is the package's one source of randomness; identical seeds produce
     identical streams on every platform and implementation. A seed outside
-    0..2**64-1 raises here, before the stream is read.
+    0..2**64-1, or not an integer, raises here, before the stream is read.
     """
+    seed = check_integer(seed, "seed")
     if seed < 0 or seed > _MASK64:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return _splitmix64_stream(seed)
@@ -361,7 +361,7 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
     positions are stored (in a dict), so besides the n x n matrix the
     sampling takes O(m) memory, not O(U).
     """
-    check_dense_size(n)
+    n, m = check_dense_size(n), check_integer(m, "edge count")
     universe = n * (n - 1) // 2
     if m < 0 or m > universe:
         raise ValueError(f"edge count must be in 0..{universe} for n={n}, got {m}")

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from . import tolerances as tol
+from .finitefield import check_integer
 from .graphcore import (
     Graph,
     check_paley_parameter,
@@ -36,8 +37,6 @@ __all__ = [
     "jacobi_eigenvalues",
     "paley_spectrum_closed",
     "ring_clique_spectrum_closed",
-    "shared_spectrum",
-    "spectrum_energy",
     "trace_suite",
 ]
 
@@ -239,6 +238,9 @@ def trace_suite(trials: int, seed: int, spectra: dict) -> SuiteResult:
     """Check the two trace identities, sum(l) = 0 and sum(l^2) = 2m, over
     the 32 family graphs with n <= 100 and `trials` seeded random graphs.
     Spectra are looked up in and stored into `spectra` (see shared_spectrum)."""
+    trials = check_integer(trials, "trials")
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     result = SuiteResult("trace")
     randoms = _random_graphs(trials, splitmix64(seed))
     families = family_corpus(97, 10, (1, 2, 3, 5, 10, 25), (3, 4, 5, 10, 25), (1, 4))

@@ -58,6 +58,13 @@ def test_package_exports_exactly_the_public_names():
         assert getattr(graphenergy, name) is not None, name
 
 
+def test_package_exports_the_union_of_its_modules_all():
+    from graphenergy import bounds, finitefield, graphcore, spectral
+
+    modules = (bounds, finitefield, graphcore, spectral)
+    assert graphenergy.__all__ == sorted(name for mod in modules for name in mod.__all__)
+
+
 def test_every_submodule_export_is_defined_in_its_module():
     modules = [
         importlib.import_module(f"graphenergy.{info.name}")

@@ -452,6 +452,13 @@ def test_lemma_suite_rejects_bad_trials():
         lemma_suite(trials=0, seed=0)
 
 
+def test_lemma_suite_reads_trials_as_an_integer():
+    assert lemma_suite(trials=np.int64(3), seed=1).total == 3
+    assert lemma_suite(trials=3.0, seed=1).total == 3
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        lemma_suite(trials=2.5, seed=0)
+
+
 def test_lemma_suite_is_deterministic():
     a = lemma_suite(trials=10, seed=7)
     b = lemma_suite(trials=10, seed=7)

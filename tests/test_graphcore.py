@@ -184,6 +184,13 @@ def test_permute():
         permute(path3(), [0, 0, 2])
 
 
+def test_permute_refuses_non_integral_entries():
+    assert permute(path3(), [np.int64(2), 1.0, 0]) == path3()
+    for perm in ([0.5, 1, 2], ["2", "0", "1"]):
+        with pytest.raises(ValueError, match="permutation entry must be an integer"):
+            permute(cycle(3), perm)
+
+
 # ---------------------------------------------------------------------------
 # family generators
 
@@ -269,6 +276,28 @@ def test_dense_size_limit_admits_its_own_size_and_keeps_parameter_messages():
         lambda: random_graph(-1, 0, 0), lambda: check_dense_size(-1),
     ):
         with pytest.raises(ValueError, match="vertex count must be nonnegative, got -"):
+            build()
+
+
+def test_counts_are_read_as_integers_not_truncated():
+    # Integral values of any numeric type are read as ints ...
+    assert empty(2.0) == empty(2)
+    assert complete(3.0) == complete(3)
+    assert cycle(np.int64(5)) == cycle(5)
+    assert from_edge_list(3.0, [(0, 1)]) == from_edge_list(3, [(0, 1)])
+    assert random_graph(np.int64(6), np.int64(3), 7) == random_graph(6, 3, 7)
+    assert random_graph(6.0, 3.0, 7) == random_graph(6, 3, 7)
+    # ... and any other value is a ValueError naming the count, not a TypeError.
+    for build, what in (
+        (lambda: empty(2.5), "vertex count"),
+        (lambda: complete(3.5), "vertex count"),
+        (lambda: cycle(4.5), "vertex count"),
+        (lambda: from_edge_list(3.5, []), "vertex count"),
+        (lambda: random_graph(5.5, 2, 0), "vertex count"),
+        (lambda: random_graph(5, 2.5, 0), "edge count"),
+        (lambda: check_dense_size(float("nan")), "vertex count"),
+    ):
+        with pytest.raises(ValueError, match=f"{what} must be an integer"):
             build()
 
 
@@ -377,6 +406,21 @@ def test_splitmix64_reference_vector():
             splitmix64(bad_seed)
     with pytest.raises(ValueError, match="seed"):
         random_graph(3, 0, -1)
+
+
+def test_splitmix64_reads_numpy_seeds_and_refuses_non_integral_ones():
+    def head(seed):
+        stream = splitmix64(seed)
+        return [next(stream) for _ in range(3)]
+
+    for seed in (np.int64(5), np.uint64(5), 5.0):
+        assert head(seed) == head(5)
+    assert head(np.uint64(2**64 - 1)) == head(2**64 - 1)
+    assert random_graph(6, 3, np.int64(7)) == random_graph(6, 3, 7)
+    # A non-integral seed raises at the call, before the stream is read.
+    for bad_seed in (1.5, float("nan"), "5"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            splitmix64(bad_seed)
 
 
 def test_random_graph_determinism():

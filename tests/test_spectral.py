@@ -313,6 +313,12 @@ def test_trace_suite_rejects_bad_seed_before_any_solve(monkeypatch):
     assert calls == []
 
 
+def test_trace_suite_refuses_negative_or_non_integral_trials():
+    for bad_trials, message in ((-5, "nonnegative"), (-1, "nonnegative"), (2.5, "an integer")):
+        with pytest.raises(ValueError, match=f"trials must be {message}, got {bad_trials}"):
+            trace_suite(trials=bad_trials, seed=0, spectra={})
+
+
 def test_shared_spectrum_solves_a_label_once_and_stores_it_read_only(solve_counter):
     spectra = {}
     first = shared_spectrum(spectra, "paley(13)", paley(13))
