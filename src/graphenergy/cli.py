@@ -113,7 +113,7 @@ def _cmd_ratio_table(args) -> int:
         params = graphcore.paley_primes(lo, hi)
         family = "paley"
     else:
-        params = [q for q in range(max(lo, 3), hi + 1)]
+        params = range(max(lo, 3), hi + 1)
         family = "ring_of_cliques"
     if not params:
         raise ValueError(f"no valid {args.family} parameters in {lo}..{hi}")

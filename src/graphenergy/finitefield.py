@@ -1,55 +1,45 @@
 """Prime-field arithmetic behind the Paley construction.
 
-Primality is decided by a deterministic Miller-Rabin test on
-[0, FIELD_MODULUS_CAP) = [0, 2**31) with the witnesses {2, 7, 61}, which
-are exact below 4,759,123,141 = 48781 * 97561, the smallest strong
-pseudoprime to all three (Jaeschke, Math. Comp. 61 (1993) 915-926). So
-there are no probabilistic false positives anywhere in the domain, which
-holds every Paley parameter.
+Every Paley parameter lies in [0, FIELD_MODULUS_CAP) = [0, 2**31). A
+composite there has a prime factor <= isqrt(2**31 - 1) = 46340, so PRIMES,
+the 4,791 primes up to 46340, sieved once at import, decides primality
+exactly on that whole domain by trial division. The same table supplies
+the base primes of graphcore.paley_primes' segmented sieve.
 """
 
 from __future__ import annotations
 
-__all__ = ["is_prime"]
+import math
 
-# Exact below 4,759,123,141 (Jaeschke 1993), so on all of is_prime's domain.
-_MR_WITNESSES = (2, 7, 61)
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+import numpy as np
+
+__all__ = ["is_prime"]
 
 # Upper bound (exclusive) on every Paley parameter, on is_prime's exact
 # domain and on paley_primes' window; Paley experiments stay far below it.
 FIELD_MODULUS_CAP = 2**31
 
 
+def _primes_upto(n: int) -> np.ndarray:
+    """The primes <= n, ascending, by a plain sieve of Eratosthenes."""
+    is_p = np.ones(n + 1, dtype=bool)
+    is_p[:2] = False
+    for f in range(2, math.isqrt(n) + 1):
+        if is_p[f]:
+            is_p[f * f :: f] = False
+    return np.flatnonzero(is_p)
+
+
+PRIMES = _primes_upto(math.isqrt(FIELD_MODULUS_CAP - 1))
+
+
 def is_prime(u: int) -> bool:
-    """Exact primality test for integers in [0, 2**31)."""
+    """Exact primality test for integers in [0, 2**31): trial division by
+    the primes of PRIMES up to isqrt(u)."""
     if u < 0 or u >= FIELD_MODULUS_CAP:
         raise ValueError(f"primality input must be in [0, 2**31), got {u}")
-    if u < 2:
-        return False
-    for small in _SMALL_PRIMES:
-        if u % small == 0:
-            return u == small
-    # u - 1 = d * 2**s with d odd
-    d = u - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for witness in _MR_WITNESSES:
-        a = witness % u
-        if a == 0:
-            continue
-        x = pow(a, d, u)
-        if x == 1 or x == u - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % u
-            if x == u - 1:
-                break
-        else:
-            return False
-    return True
+    divisors = PRIMES[: PRIMES.searchsorted(math.isqrt(u), side="right")]
+    return u >= 2 and np.count_nonzero(u % divisors) == divisors.size
 
 
 def check_integer(x, what: str) -> int:
@@ -62,4 +52,3 @@ def check_integer(x, what: str) -> int:
     except (OverflowError, ValueError):
         pass
     raise ValueError(f"{what} must be an integer, got {x}")
-

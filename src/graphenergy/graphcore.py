@@ -12,7 +12,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .finitefield import FIELD_MODULUS_CAP, check_integer, is_prime
+from .finitefield import FIELD_MODULUS_CAP, PRIMES, check_integer, is_prime
 from .tolerances import MAX_DENSE_N
 
 __all__ = [
@@ -142,6 +142,7 @@ def empty(n: int) -> Graph:
 
 def complete(n: int) -> Graph:
     """The complete graph K_n."""
+    n = check_integer(n, "vertex count")
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
     n = check_dense_size(n)
@@ -152,6 +153,7 @@ def complete(n: int) -> Graph:
 
 def cycle(n: int) -> Graph:
     """The cycle C_n, n >= 3."""
+    n = check_integer(n, "vertex count")
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
     n = check_dense_size(n)
@@ -272,22 +274,22 @@ def paley_primes(lo: int, hi: int) -> list[int]:
     A segmented sieve of Eratosthenes, with no primality test per candidate.
     The window is cut into segments of _SIEVE_SEGMENT integers at multiples
     of _SIEVE_SEGMENT. Each segment holds one flag per integer and clears the
-    multiples of every odd prime whose square lies below the segment's end,
-    from that square or the segment's first multiple of the prime, whichever
-    is larger; the odd primes up to sqrt(min(hi, 2**31 - 1)) come from a
-    plain sieve first. The survivors == 1 (mod 4) inside the window are the
-    result. Memory is O(_SIEVE_SEGMENT) whatever the window's width.
+    multiples of every prime of finitefield.PRIMES whose square lies below
+    the segment's end, from that square or the segment's first multiple of
+    the prime, whichever is larger; PRIMES holds every prime up to
+    sqrt(2**31 - 1), so no segment needs another. The survivors == 1 (mod 4)
+    inside the window are the result. Memory is O(_SIEVE_SEGMENT) whatever
+    the window's width.
     """
-    start = max(lo, 5)
-    stop = min(hi, FIELD_MODULUS_CAP - 1)
+    start = max(check_integer(lo, "lower bound"), 5)
+    stop = min(check_integer(hi, "upper bound"), FIELD_MODULUS_CAP - 1)
     if start > stop:
         return []
-    base = _odd_primes_upto(math.isqrt(stop))
     found: list[int] = []
     for seg_lo in range(start - start % _SIEVE_SEGMENT, stop + 1, _SIEVE_SEGMENT):
         seg_end = seg_lo + _SIEVE_SEGMENT
         flags = np.ones(_SIEVE_SEGMENT, dtype=bool)  # flag i stands for seg_lo + i
-        for p in base:
+        for p in PRIMES.tolist():
             square = p * p
             if square >= seg_end:
                 break
@@ -295,18 +297,6 @@ def paley_primes(lo: int, hi: int) -> list[int]:
         values = seg_lo + np.flatnonzero(flags)
         found.extend(values[(values % 4 == 1) & (values >= start) & (values <= stop)].tolist())
     return found
-
-
-def _odd_primes_upto(n: int) -> list[int]:
-    """The odd primes <= n, by a plain sieve of Eratosthenes."""
-    if n < 3:
-        return []
-    is_p = np.ones(n + 1, dtype=bool)
-    is_p[:2] = False
-    for f in range(2, math.isqrt(n) + 1):
-        if is_p[f]:
-            is_p[f * f :: f] = False
-    return np.flatnonzero(is_p)[1:].tolist()
 
 
 def family_corpus(p_max: int, q_max: int, complete_sizes, cycle_sizes, empty_sizes=()):

@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -167,6 +168,18 @@ def test_ratio_table_ring_numeric(capsys):
     assert q3[0] == "ring_of_cliques"
     assert q3[1:5] == ["3", "9", "4", "18"]
     assert q3[5] == "16"  # energy at 12 significant digits
+
+
+def test_ratio_table_ring_numeric_refuses_a_wide_range_in_small_memory(capsys):
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "ratio-table", "ring-clique", "3..1000000", "--mode", "numeric")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and "parameter 65:" in err
+    # A list of every q in the range would take about 38 MiB.
+    assert peak < 2 * 2**20
 
 
 def test_ratio_table_empty_range_fails(capsys):

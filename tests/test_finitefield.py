@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphenergy.finitefield import FIELD_MODULUS_CAP, is_prime
+from graphenergy.finitefield import FIELD_MODULUS_CAP, PRIMES, is_prime
 from graphenergy.graphcore import check_paley_parameter
 
 
@@ -29,6 +29,20 @@ def trial_division(u: int) -> bool:
 def test_is_prime_small_values_match_trial_division():
     for u in range(3000):
         assert is_prime(u) == trial_division(u), u
+
+
+def test_prime_table_holds_every_prime_up_to_the_root_of_the_domain():
+    assert math.isqrt(FIELD_MODULUS_CAP - 1) == 46340
+    assert PRIMES.tolist() == [u for u in range(46341) if trial_division(u)]
+
+
+def test_is_prime_accepts_every_table_prime_and_rejects_its_square():
+    # p * p < 2**31 for every table prime: each square needs the whole
+    # table up to p, the largest divisor trial division reaches for it.
+    assert int(PRIMES[-1]) ** 2 < FIELD_MODULUS_CAP
+    for p in PRIMES.tolist():
+        assert is_prime(p), p
+        assert not is_prime(p * p), p
 
 
 def test_is_prime_examples():
@@ -107,7 +121,7 @@ def test_prime_modulus_rejections():
         with pytest.raises(ValueError, match=f"Paley parameter must be prime, got {value}"):
             check_paley_parameter(value)
     # The range is checked before primality: composite, prime, and prime
-    # beyond what Miller-Rabin accepts are all reported as too large.
+    # beyond is_prime's domain are all reported as too large.
     for value in (FIELD_MODULUS_CAP, FIELD_MODULUS_CAP + 11, 2**61 - 1, 2**89 - 1):
         with pytest.raises(ValueError, match="Paley parameter must be below 2\\*\\*31"):
             check_paley_parameter(value)

@@ -52,13 +52,15 @@ def test_complete():
     assert (k5.n, k5.m, k5.regularity()) == (5, 10, 4)
     with pytest.raises(ValueError):
         complete(0)
+    with pytest.raises(ValueError, match=r"^complete graph needs n >= 1, got -1$"):
+        complete(-1)
 
 
 def test_cycle():
     assert cycle(3) == complete(3)
     assert (cycle(4).n, cycle(4).m) == (4, 4)
     assert (cycle(5).m, cycle(5).regularity()) == (5, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cycle needs n >= 3, got 2$"):
         cycle(2)
 
 
@@ -292,6 +294,8 @@ def test_counts_are_read_as_integers_not_truncated():
         (lambda: empty(2.5), "vertex count"),
         (lambda: complete(3.5), "vertex count"),
         (lambda: cycle(4.5), "vertex count"),
+        (lambda: complete("3"), "vertex count"),
+        (lambda: cycle("4"), "vertex count"),
         (lambda: from_edge_list(3.5, []), "vertex count"),
         (lambda: random_graph(5.5, 2, 0), "vertex count"),
         (lambda: random_graph(5, 2.5, 0), "edge count"),
@@ -312,6 +316,10 @@ def test_paley_primes():
     assert paley_primes(5, 20) == [5, 13, 17]
     assert paley_primes(14, 16) == []
     assert paley_primes(0, 13) == [5, 13]
+    assert paley_primes(5.0, np.int64(20)) == [5, 13, 17]
+    for lo, hi, what in ((5.5, 20, "lower bound"), (5, "20", "upper bound")):
+        with pytest.raises(ValueError, match=f"{what} must be an integer"):
+            paley_primes(lo, hi)
 
 
 def test_paley_primes_stop_below_field_cap():
