@@ -147,6 +147,7 @@ def ring_clique_ratio_upper(q: int) -> float:
     that is checked here. The bound exceeds 1 for small q and decays toward
     0 only asymptotically.
     """
+    q = check_ring_parameter(q)
     upper = ring_clique_energy_upper(q)
     estimate = (q * q - q - 1) * math.sqrt(q + 1.0)
     if not e0(q * q, q + 1) >= estimate:

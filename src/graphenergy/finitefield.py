@@ -1,10 +1,13 @@
-"""Prime-field arithmetic behind the Paley construction.
+"""Primes and the integer rule behind the Paley construction.
 
-Every Paley parameter lies in [0, FIELD_MODULUS_CAP) = [0, 2**31). A
-composite there has a prime factor <= isqrt(2**31 - 1) = 46340, so PRIMES,
-the 4,791 primes up to 46340, sieved once at import, decides primality
-exactly on that whole domain by trial division. The same table supplies
-the base primes of graphcore.paley_primes' segmented sieve.
+Every Paley parameter lies in [0, FIELD_MODULUS_CAP) = [0, 2**31).
+primes_between is the package's one sieve of Eratosthenes: it sieves just
+the window it is given. It builds PRIMES, the 4,792 primes up to
+isqrt(2**31 - 1) = 46340, once at import. A composite below 2**31 has a
+prime factor in PRIMES, so is_prime decides primality exactly by trial
+division, and every segment of graphcore.paley_primes is sieved with PRIMES
+as its base. check_integer is the integer rule every public function reads
+its integer arguments through.
 """
 
 from __future__ import annotations
@@ -20,22 +23,25 @@ __all__ = ["is_prime"]
 FIELD_MODULUS_CAP = 2**31
 
 
-def _primes_upto(n: int) -> np.ndarray:
-    """The primes <= n, ascending, by a plain sieve of Eratosthenes."""
-    is_p = np.ones(n + 1, dtype=bool)
-    is_p[:2] = False
-    for f in range(2, math.isqrt(n) + 1):
-        if is_p[f]:
-            is_p[f * f :: f] = False
-    return np.flatnonzero(is_p)
+def primes_between(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+    """The primes in [lo, hi], lo >= 2, ascending, by a sieve of Eratosthenes
+    over the window alone: one flag per integer, cleared at the multiples of
+    each base entry up to isqrt(hi). base is ascending and holds every prime
+    up to isqrt(hi); a composite entry only clears numbers already cleared."""
+    flags = np.ones(hi - lo + 1, dtype=bool)  # flag i stands for lo + i
+    for p in base[: base.searchsorted(math.isqrt(hi), side="right")].tolist():
+        flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    return lo + np.flatnonzero(flags)
 
 
-PRIMES = _primes_upto(math.isqrt(FIELD_MODULUS_CAP - 1))
+_ROOT = math.isqrt(FIELD_MODULUS_CAP - 1)  # 46340
+PRIMES = primes_between(2, _ROOT, np.arange(2, math.isqrt(_ROOT) + 1))
 
 
 def is_prime(u: int) -> bool:
     """Exact primality test for integers in [0, 2**31): trial division by
     the primes of PRIMES up to isqrt(u)."""
+    u = check_integer(u, "primality input")
     if u < 0 or u >= FIELD_MODULUS_CAP:
         raise ValueError(f"primality input must be in [0, 2**31), got {u}")
     divisors = PRIMES[: PRIMES.searchsorted(math.isqrt(u), side="right")]

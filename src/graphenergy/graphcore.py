@@ -12,7 +12,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .finitefield import FIELD_MODULUS_CAP, PRIMES, check_integer, is_prime
+from .finitefield import FIELD_MODULUS_CAP, PRIMES, check_integer, is_prime, primes_between
 from .tolerances import MAX_DENSE_N
 
 __all__ = [
@@ -271,31 +271,17 @@ def ring_of_cliques(q: int) -> Graph:
 def paley_primes(lo: int, hi: int) -> list[int]:
     """All valid Paley parameters in [lo, hi]: primes p == 1 (mod 4), 5 <= p < 2**31.
 
-    A segmented sieve of Eratosthenes, with no primality test per candidate.
-    The window is cut into segments of _SIEVE_SEGMENT integers at multiples
-    of _SIEVE_SEGMENT. Each segment holds one flag per integer and clears the
-    multiples of every prime of finitefield.PRIMES whose square lies below
-    the segment's end, from that square or the segment's first multiple of
-    the prime, whichever is larger; PRIMES holds every prime up to
-    sqrt(2**31 - 1), so no segment needs another. The survivors == 1 (mod 4)
-    inside the window are the result. Memory is O(_SIEVE_SEGMENT) whatever
-    the window's width.
+    A segmented sieve: the window is cut into segments of _SIEVE_SEGMENT
+    integers from its own start, each sieved by finitefield.primes_between
+    with the base PRIMES, so memory is O(_SIEVE_SEGMENT) whatever the
+    window's width.
     """
     start = max(check_integer(lo, "lower bound"), 5)
     stop = min(check_integer(hi, "upper bound"), FIELD_MODULUS_CAP - 1)
-    if start > stop:
-        return []
     found: list[int] = []
-    for seg_lo in range(start - start % _SIEVE_SEGMENT, stop + 1, _SIEVE_SEGMENT):
-        seg_end = seg_lo + _SIEVE_SEGMENT
-        flags = np.ones(_SIEVE_SEGMENT, dtype=bool)  # flag i stands for seg_lo + i
-        for p in PRIMES.tolist():
-            square = p * p
-            if square >= seg_end:
-                break
-            flags[max(square, -(-seg_lo // p) * p) - seg_lo :: p] = False
-        values = seg_lo + np.flatnonzero(flags)
-        found.extend(values[(values % 4 == 1) & (values >= start) & (values <= stop)].tolist())
+    for seg_lo in range(start, stop + 1, _SIEVE_SEGMENT):
+        values = primes_between(seg_lo, min(seg_lo + _SIEVE_SEGMENT - 1, stop), PRIMES)
+        found.extend(values[values % 4 == 1].tolist())
     return found
 
 

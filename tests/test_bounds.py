@@ -249,6 +249,13 @@ def test_ring_clique_ratio_upper_values():
         ring_clique_ratio_upper(1)
 
 
+def test_ring_clique_ratio_upper_reads_numpy_integers_as_ints():
+    # q * q on a raw np.int64 wraps past 2**63 (3_037_000_500) or loses
+    # the value (5_000_000_000); both must give the Python int's answer.
+    for q in (3, 100, 3_037_000_500, 5_000_000_000):
+        assert ring_clique_ratio_upper(np.int64(q)) == ring_clique_ratio_upper(q), q
+
+
 def test_ring_clique_tight_never_exceeds_crude():
     # Dividing by the exact e0 instead of its lower estimate gives a bound
     # no larger than the paper's.

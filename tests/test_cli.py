@@ -223,7 +223,7 @@ def test_ratio_table_numeric_and_closed_agree(capsys):
 GOLDEN_STDOUT = {
     ("ratio-table", "paley", "5..401", "--mode", "closed"):
         "6588fa7fb0a83b521b30c8e1b08543cfe93391bf71a6abfcfe7885c8413d7e21",
-    # crosses the paley_primes sieve segment boundary at 2**18 = 262144
+    # a window across 2**18 = 262144, sieved as one segment from its start
     ("ratio-table", "paley", "262000..263000", "--mode", "closed"):
         "39b27a1111e41b6bf88d2bf98cbb8c45c3d08e99155b626d52945658e74dc44d",
     ("ratio-table", "ring-clique", "3..40", "--mode", "closed"):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphenergy.finitefield import FIELD_MODULUS_CAP, PRIMES, is_prime
+from graphenergy.finitefield import FIELD_MODULUS_CAP, PRIMES, is_prime, primes_between
 from graphenergy.graphcore import check_paley_parameter
 
 
@@ -100,6 +100,14 @@ def test_is_prime_rejects_strong_pseudoprimes_to_base_2(value):
     assert not is_prime(value)
 
 
+def test_is_prime_reads_its_input_through_the_integer_rule():
+    assert is_prime(7.0) and is_prime(np.float64(13.0)) and is_prime(np.int64(13))
+    assert not is_prime(9.0)
+    for value in (2.5, float("nan"), float("inf"), "7"):
+        with pytest.raises(ValueError, match=f"primality input must be an integer, got {value}"):
+            is_prime(value)
+
+
 def test_is_prime_rejects_out_of_range():
     with pytest.raises(ValueError):
         is_prime(-1)
@@ -110,6 +118,37 @@ def test_is_prime_rejects_out_of_range():
 @given(st.integers(min_value=0, max_value=200_000))
 def test_is_prime_agrees_with_trial_division(u):
     assert is_prime(u) == trial_division(u)
+
+
+# ---------------------------------------------------------------------------
+# the window sieve
+
+
+def primes_by_trial_division(lo: int, hi: int) -> list[int]:
+    return [u for u in range(lo, hi + 1) if trial_division(u)]
+
+
+def test_primes_between_from_two():
+    for hi in (2, 3, 4, 5, 24, 25, 26, 1000):
+        assert primes_between(2, hi, PRIMES).tolist() == primes_by_trial_division(2, hi), hi
+
+
+def test_primes_between_on_a_single_integer():
+    for u in (2, 3, 4, 97, 91, 121, 46337, 46327 * 46337, FIELD_MODULUS_CAP - 1):
+        assert primes_between(u, u, PRIMES).tolist() == ([u] if trial_division(u) else []), u
+
+
+def test_primes_between_keeps_the_base_primes_inside_its_window():
+    # A base prime p in the window is cleared from p * p on, never at p.
+    for lo, hi in [(2, 400), (3, 400), (7, 49), (11, 130), (200, 1000), (46300, 46400)]:
+        assert primes_between(lo, hi, PRIMES).tolist() == primes_by_trial_division(lo, hi), (lo, hi)
+
+
+def test_primes_between_with_every_integer_as_base():
+    # Composite base entries only clear numbers a smaller prime cleared.
+    for lo, hi in [(2, 5000), (4000, 9000), (10**6, 10**6 + 2000), (2**31 - 2000, 2**31 - 1)]:
+        base = np.arange(2, math.isqrt(hi) + 1)
+        assert primes_between(lo, hi, base).tolist() == primes_by_trial_division(lo, hi), (lo, hi)
 
 
 # ---------------------------------------------------------------------------

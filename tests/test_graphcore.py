@@ -335,21 +335,46 @@ def paley_primes_by_test(lo, hi):
 
 
 SEGMENT = graphcore._SIEVE_SEGMENT
-# Every sieve segment ends at a multiple of SEGMENT; the last one at 2**31.
+# Sieve segments start at the window's own start, so a window [lo, hi] has
+# its seams at lo + k * SEGMENT. Each site below picks the Paley prime
+# nearest to it, and the test places that prime on either side of a seam.
 BOUNDARIES = [SEGMENT, 2 * SEGMENT, 3 * SEGMENT, 2**20, 2**31 - SEGMENT, 2**31]
 
 
 @pytest.mark.parametrize("boundary", BOUNDARIES)
 def test_paley_primes_is_exact_across_segment_boundaries(boundary):
-    # Windows that end just before, at and after the boundary, start there,
-    # and straddle it (one of them spanning three segments).
-    windows = [(boundary - 400, boundary - 1), (boundary - 400, boundary),
-               (boundary - 1, boundary + 400), (boundary, boundary + 400),
-               (boundary + 1, boundary + 400), (boundary - 300, boundary + 300)]
-    if boundary > SEGMENT:
-        windows.append((boundary - SEGMENT - 50, boundary + 50))
-    for lo, hi in windows:
-        assert paley_primes(lo, hi) == paley_primes_by_test(lo, hi), (lo, hi)
+    if boundary < 2**31:
+        p = paley_primes_by_test(boundary, boundary + 1000)[0]
+    else:
+        p = paley_primes_by_test(boundary - 1000, boundary)[-1]
+    expected = paley_primes_by_test(p - SEGMENT, p + 400)
+    # p on the last flag of the first segment, then on the first flag of
+    # the second. Every window but (p - SEGMENT + 1, p) crosses a seam.
+    for lo in (p - SEGMENT + 1, p - SEGMENT):
+        assert lo >= 5
+        for hi in (p, p + 1, p + 400):
+            want = [q for q in expected if lo <= q <= hi]
+            assert p in want
+            assert paley_primes(lo, hi) == want, (lo, hi)
+
+
+def test_paley_primes_is_exact_across_many_small_segments(monkeypatch):
+    monkeypatch.setattr(graphcore, "_SIEVE_SEGMENT", 16)
+    for lo in range(0, 80):
+        for hi in range(lo - 1, lo + 120, 7):
+            assert paley_primes(lo, hi) == paley_primes_by_test(lo, hi), (lo, hi)
+
+
+def test_paley_primes_sieves_only_its_window():
+    tracemalloc.start()
+    try:
+        primes = paley_primes(5, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert primes == paley_primes_by_test(5, 100)
+    # 96 flags, not a whole segment of SEGMENT flags
+    assert peak < 16 * 1024
 
 
 def test_paley_primes_is_exact_on_edge_windows():
