@@ -274,12 +274,12 @@ def lemma_suite(trials: int, seed: int) -> spectral.SuiteResult:
 def bounds_suite(spectra: dict) -> spectral.SuiteResult:
     """energy <= e0 over the regular corpus, with equality exactly for K_n:
     Paley graphs with p <= 200, rings of cliques with q <= 12, K_1..K_50
-    and C_3..C_50, 129 graphs in all. Spectra are looked up in and stored
-    into `spectra` (see spectral.shared_spectrum)."""
+    and C_3..C_50, 129 graphs in all. Each distinct graph is solved once per
+    `spectra` dict (see spectral.shared_spectrum)."""
     result = spectral.SuiteResult("bounds")
     for label, g in family_corpus(200, 12, range(1, 51), range(3, 51)):
         k = g.regularity()
-        en = spectral.spectrum_energy(spectral.shared_spectrum(spectra, label, g))
+        en = spectral.spectrum_energy(spectral.shared_spectrum(spectra, g))
         bound = e0(g.n, k)
         within = en <= bound + tol.BOUND_SLACK
         equality = abs(en - bound) <= tol.BOUND_SLACK

@@ -125,7 +125,7 @@ def _cmd_ratio_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # One spectrum per family graph per run, shared by the suites below.
+    # One spectrum per distinct graph per run, shared by the suites below.
     spectra = {}
     runners = {
         "lemma": lambda: bounds.lemma_suite(args.trials, args.seed),
@@ -178,7 +178,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # argparse up to Python 3.11 at least stores [] for a "--" value, unchecked.
+        # argparse stores [] unchecked for `gen cycle -- --` (3.10-3.13) and
+        # for `--seed=--` up to 3.12; 3.13 passes that '--' to the type check.
         if [] in vars(args).values():
             raise _UsageError("`--` is not an argument value")
     except _UsageError as exc:

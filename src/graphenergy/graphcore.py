@@ -288,17 +288,18 @@ def paley_primes(lo: int, hi: int) -> list[int]:
 def family_corpus(p_max: int, q_max: int, complete_sizes, cycle_sizes, empty_sizes=()):
     """Labeled family graphs for the verification suites, in this order:
     Paley graphs for every valid p <= p_max, rings of cliques for
-    q = 3..q_max, then complete, cycle and empty graphs of the given sizes."""
-    for p in paley_primes(5, p_max):
-        yield f"paley({p})", paley(p)
-    for q in range(3, q_max + 1):
-        yield f"ring_of_cliques({q})", ring_of_cliques(q)
-    for n in complete_sizes:
-        yield f"complete({n})", complete(n)
-    for n in cycle_sizes:
-        yield f"cycle({n})", cycle(n)
-    for n in empty_sizes:
-        yield f"empty({n})", empty(n)
+    q = 3..q_max, then complete, cycle and empty graphs of the given sizes.
+    A label such as `paley(13)` names the graph in failure messages."""
+    families = (
+        (paley, paley_primes(5, p_max)),
+        (ring_of_cliques, range(3, q_max + 1)),
+        (complete, complete_sizes),
+        (cycle, cycle_sizes),
+        (empty, empty_sizes),
+    )
+    for build, params in families:
+        for param in params:
+            yield f"{build.__name__}({param})", build(param)
 
 
 # ---------------------------------------------------------------------------

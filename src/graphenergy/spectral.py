@@ -106,9 +106,13 @@ def jacobi_eigenvalues(matrix) -> np.ndarray:
     adjacency matrix is left as is) and is undone on the eigenvalues.
     Converged once off(A) < JACOBI_OFF_TOL_PER_N * n after scaling. Raises
     ConvergenceError if that does not happen within JACOBI_MAX_SWEEPS
-    sweeps -- a partial result is never returned.
+    sweeps -- a partial result is never returned. Complex, text and byte
+    entries are refused with ValueError, not converted.
     """
-    a = np.array(matrix, dtype=np.float64)
+    a = np.asarray(matrix)
+    if a.dtype.kind in "cUS":
+        raise ValueError(f"matrix entries must be real numbers, got dtype {a.dtype}")
+    a = np.array(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -142,18 +146,20 @@ def eigenvalues(g: Graph) -> np.ndarray:
     return jacobi_eigenvalues(g.adjacency)
 
 
-def shared_spectrum(spectra: dict, label: str, g: Graph) -> np.ndarray:
-    """eigenvalues(g), solved the first time `label` is seen in `spectra`
-    and stored there read-only; later calls return the stored array.
+def shared_spectrum(spectra: dict, g: Graph) -> np.ndarray:
+    """eigenvalues(g), solved the first time g's adjacency matrix is seen in
+    `spectra` and stored there read-only; later calls return the stored array.
 
-    `spectra` is the caller's own mapping from corpus label (`paley(13)`)
-    to spectrum, so suites that share one solve each graph once.
+    `spectra` is the caller's own dict, keyed by the bytes of the boolean
+    matrix. They fix n and every entry, so suites that share the dict solve
+    each distinct graph once, even under two names (K_3 and C_3).
     """
-    vals = spectra.get(label)
+    key = g.adjacency.tobytes()
+    vals = spectra.get(key)
     if vals is None:
         vals = eigenvalues(g)
         vals.setflags(write=False)
-        spectra[label] = vals
+        spectra[key] = vals
     return vals
 
 
@@ -237,7 +243,7 @@ def _random_graphs(trials: int, stream):
 def trace_suite(trials: int, seed: int, spectra: dict) -> SuiteResult:
     """Check the two trace identities, sum(l) = 0 and sum(l^2) = 2m, over
     the 32 family graphs with n <= 100 and `trials` seeded random graphs.
-    Spectra are looked up in and stored into `spectra` (see shared_spectrum)."""
+    Each distinct graph is solved once per `spectra` dict (see shared_spectrum)."""
     trials = check_integer(trials, "trials")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
@@ -245,7 +251,7 @@ def trace_suite(trials: int, seed: int, spectra: dict) -> SuiteResult:
     randoms = _random_graphs(trials, splitmix64(seed))
     families = family_corpus(97, 10, (1, 2, 3, 5, 10, 25), (3, 4, 5, 10, 25), (1, 4))
     for label, g in itertools.chain(families, randoms):
-        vals = shared_spectrum(spectra, label, g)
+        vals = shared_spectrum(spectra, g)
         trace = float(vals.sum())
         sumsq = float((vals * vals).sum())
         ok = abs(trace) <= tol.TRACE_TOL and abs(sumsq - 2 * g.m) <= tol.TRACE_SQ_TOL
@@ -256,7 +262,7 @@ def trace_suite(trials: int, seed: int, spectra: dict) -> SuiteResult:
 def closed_forms_suite(spectra: dict) -> SuiteResult:
     """Check the eigensolver against both closed-form spectra, entrywise, on
     the Paley graphs with p <= 200 and the rings of cliques with q <= 12.
-    Spectra are looked up in and stored into `spectra` (see shared_spectrum)."""
+    Each distinct graph is solved once per `spectra` dict (see shared_spectrum)."""
     result = SuiteResult("closed-forms")
     cases = itertools.chain(
         ((paley, paley_spectrum_closed, p) for p in paley_primes(5, 200)),
@@ -264,7 +270,7 @@ def closed_forms_suite(spectra: dict) -> SuiteResult:
     )
     for build, closed, param in cases:
         label = f"{build.__name__}({param})"
-        vals = shared_spectrum(spectra, label, build(param))
+        vals = shared_spectrum(spectra, build(param))
         dev = float(np.abs(vals - closed(param)).max())
         result.check(dev <= tol.CLOSED_SPECTRUM_TOL, f"{label}: max deviation {dev:.3e}")
     return result

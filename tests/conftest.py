@@ -6,7 +6,7 @@ from graphenergy import graphcore, spectral
 
 @pytest.fixture(scope="session")
 def family_spectra():
-    """One label -> spectrum dict for the session, filled by shared_spectrum."""
+    """One matrix -> spectrum dict for the session, filled by shared_spectrum."""
     return {}
 
 
@@ -14,7 +14,7 @@ def family_spectra():
 def paley_spectra_200(family_spectra):
     """Eigensolver spectra for every valid Paley prime up to 200."""
     return {
-        p: spectral.shared_spectrum(family_spectra, f"paley({p})", graphcore.paley(p))
+        p: spectral.shared_spectrum(family_spectra, graphcore.paley(p))
         for p in graphcore.paley_primes(5, 200)
     }
 
@@ -23,9 +23,7 @@ def paley_spectra_200(family_spectra):
 def ring_spectra_12(family_spectra):
     """Eigensolver spectra for the ring of cliques, q = 3..12."""
     return {
-        q: spectral.shared_spectrum(
-            family_spectra, f"ring_of_cliques({q})", graphcore.ring_of_cliques(q)
-        )
+        q: spectral.shared_spectrum(family_spectra, graphcore.ring_of_cliques(q))
         for q in range(3, 13)
     }
 

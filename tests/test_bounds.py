@@ -277,7 +277,7 @@ def test_ring_clique_ratio_upper_checks_the_e0_estimate(monkeypatch):
 def test_ratio_table_paley_modes_agree():
     numeric = ratio_table("paley", [13], use_closed_form=False)[0]
     closed = ratio_table("paley", [13], use_closed_form=True)[0]
-    assert numeric.ratio == pytest.approx(closed.ratio, abs=tol.MODE_AGREEMENT_TOL)
+    assert numeric.ratio == pytest.approx(closed.ratio, abs=tol.CLOSED_SPECTRUM_TOL)
     assert numeric.energy == pytest.approx(closed.energy, abs=1e-6)
     assert (numeric.n, numeric.k, numeric.m) == (closed.n, closed.k, closed.m) == (13, 6, 39)
 
@@ -287,7 +287,7 @@ def test_ratio_table_modes_agree_across_families():
     for family, params in (("paley", [5, 13, 17]), ("ring_of_cliques", [3, 4, 5])):
         closed_rows = ratio_table(family, params, use_closed_form=True)
         for numeric, closed in zip(ratio_table(family, params), closed_rows, strict=True):
-            assert numeric.ratio == pytest.approx(closed.ratio, abs=tol.MODE_AGREEMENT_TOL)
+            assert numeric.ratio == pytest.approx(closed.ratio, abs=tol.CLOSED_SPECTRUM_TOL)
             assert numeric.ratio == numeric.energy / numeric.e0
             assert dataclasses.replace(numeric, energy=closed.energy, ratio=closed.ratio) == closed
 
@@ -304,7 +304,7 @@ def test_ratio_table_row_fields_are_consistent():
     rows = ratio_table("paley", [5, 13, 17], use_closed_form=True)
     rows += ratio_table("ring_of_cliques", [3, 4, 5], use_closed_form=True)
     for row in rows:
-        assert row.ratio == pytest.approx(row.energy / row.e0, abs=tol.RATIO_FIELD_TOL)
+        assert row.ratio == row.energy / row.e0
         assert 0.0 < row.ratio <= 1.0 + tol.BOUND_SLACK
 
 
@@ -438,10 +438,11 @@ def test_suites_on_one_dict_solve_each_family_graph_once(solve_counter):
     spectra = {}
     assert spectral.closed_forms_suite(spectra).ok
     assert len(solve_counter) == 31
-    # bounds adds K_1..K_50 and C_3..C_50 to the 31 graphs closed-forms solved
+    # bounds adds K_1..K_50 and C_3..C_50 to the 31 graphs closed-forms solved;
+    # C_3 = K_3 and C_5 = paley(5) are not solved again
     assert bounds_suite(spectra).total == 129
-    assert len(solve_counter) == 31 + 98
-    assert len(spectra) == 129
+    assert len(solve_counter) == 31 + 96
+    assert len(spectra) == 127
     assert not any(vals.flags.writeable for vals in spectra.values())
 
 
@@ -449,9 +450,10 @@ def test_suites_with_a_fresh_dict_solve_every_graph(solve_counter):
     assert spectral.closed_forms_suite({}).ok
     assert len(solve_counter) == 31
     assert bounds_suite({}).ok
-    assert len(solve_counter) == 31 + 129
+    assert len(solve_counter) == 31 + 127
+    # 29 distinct family graphs (K_1 = empty(1) too) and 3 new random ones
     assert spectral.trace_suite(trials=5, seed=2, spectra={}).ok
-    assert len(solve_counter) == 31 + 129 + 32 + 5
+    assert len(solve_counter) == 31 + 127 + 29 + 3
 
 
 def test_lemma_suite_rejects_bad_trials():

@@ -269,11 +269,12 @@ def test_verify_closed_forms(capsys):
 
 
 def test_verify_all_solves_each_family_graph_once(capsys, solve_counter):
-    # lemma 2 x 100 and trace 32 + 100; then closed-forms solves only the 12
-    # family graphs trace did not, and bounds the 87 that neither did.
+    # lemma 2 x 100 and trace the 107 distinct graphs among its 32 + 100; then
+    # closed-forms solves only the 12 family graphs trace did not, and bounds
+    # the 85 that neither did.
     code, out, _ = run(capsys, "verify", "all", "--trials", "100", "--seed", "0")
     assert code == 0, out
-    assert len(solve_counter) == 200 + 132 + 12 + 87 == 431
+    assert len(solve_counter) == 200 + 107 + 12 + 85 == 404
 
 
 def test_ratio_table_numeric_refuses_oversized_graph_before_any_solve(capsys, solve_counter):

@@ -34,6 +34,10 @@ from graphenergy.spectral import (
 )
 
 
+# energy comparisons under relabeling and block-diagonal disjoint union
+ENERGY_INVARIANCE_TOL = 1e-8
+
+
 def path3():
     return from_edge_list(3, [(0, 1), (1, 2)])
 
@@ -82,6 +86,26 @@ def test_jacobi_rejects_infinite_entries():
 def test_jacobi_reports_nan_as_non_finite_not_asymmetric():
     with pytest.raises(ValueError, match="finite"):
         jacobi_eigenvalues([[math.nan, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.array([[0, 1j], [-1j, 0]]),
+        [[0.0, 1 + 0j], [1 + 0j, 0.0]],
+        [["1", "2"], ["2", "1"]],
+        [[b"1"]],
+    ],
+)
+def test_jacobi_refuses_complex_and_text_entries(matrix):
+    with pytest.raises(ValueError, match="real numbers"):
+        jacobi_eigenvalues(matrix)
+
+
+def test_jacobi_reads_numeric_object_arrays():
+    big = 2**70  # beyond int64, so NumPy stores it as a Python int
+    vals = jacobi_eigenvalues(np.array([[0, big], [big, 0]], dtype=object))
+    assert vals.tolist() == pytest.approx([big, -big], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("s", [1e300, 1e-300, 2.0**500, 2.0**-500])
@@ -266,7 +290,7 @@ def test_energy_additive_over_disjoint_union(g1, g2):
     adj[:n1, :n1] = g1.adjacency
     adj[n1:, n1:] = g2.adjacency
     assert energy(Graph(adj)) == pytest.approx(
-        energy(g1) + energy(g2), abs=tol.ENERGY_INVARIANCE_TOL
+        energy(g1) + energy(g2), abs=ENERGY_INVARIANCE_TOL
     )
 
 
@@ -276,7 +300,7 @@ def test_energy_invariant_under_relabeling(g, rnd):
     perm = list(range(g.n))
     rnd.shuffle(perm)
     assert energy(permute(g, perm)) == pytest.approx(
-        energy(g), abs=tol.ENERGY_INVARIANCE_TOL
+        energy(g), abs=ENERGY_INVARIANCE_TOL
     )
 
 
@@ -319,16 +343,36 @@ def test_trace_suite_refuses_negative_or_non_integral_trials():
             trace_suite(trials=bad_trials, seed=0, spectra={})
 
 
-def test_shared_spectrum_solves_a_label_once_and_stores_it_read_only(solve_counter):
+def test_shared_spectrum_solves_a_matrix_once_and_stores_it_read_only(solve_counter):
     spectra = {}
-    first = shared_spectrum(spectra, "paley(13)", paley(13))
-    assert shared_spectrum(spectra, "paley(13)", paley(13)) is first
+    first = shared_spectrum(spectra, paley(13))
+    assert shared_spectrum(spectra, paley(13)) is first
     assert solve_counter == [13]
-    assert list(spectra) == ["paley(13)"]
+    assert list(spectra) == [paley(13).adjacency.tobytes()]
     assert not first.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         first[0] = 0.0
     assert np.allclose(first, paley_spectrum_closed(13), atol=1e-12)
+
+
+def test_shared_spectrum_solves_equal_graphs_built_under_two_names_once(solve_counter):
+    spectra = {}
+    k3 = shared_spectrum(spectra, complete(3))
+    assert shared_spectrum(spectra, cycle(3)) is k3
+    assert solve_counter == [3]
+    c5 = shared_spectrum(spectra, paley(5))
+    assert shared_spectrum(spectra, cycle(5)) is c5
+    assert solve_counter == [3, 5]
+    shared_spectrum(spectra, paley(13))
+    shared_spectrum(spectra, ring_of_cliques(3))
+    assert solve_counter == [3, 5, 13, 9]
+    # same n and m, different matrices
+    two_triangles = from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert shared_spectrum(spectra, cycle(6))[1] == pytest.approx(1.0)
+    assert shared_spectrum(spectra, two_triangles)[1] == pytest.approx(2.0)
+    assert solve_counter == [3, 5, 13, 9, 6, 6]
+    assert len(spectra) == 6
+    assert not any(vals.flags.writeable for vals in spectra.values())
 
 
 def test_suite_result_bookkeeping():
