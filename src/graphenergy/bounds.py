@@ -21,7 +21,6 @@ from .graphcore import (
     delete_edge,
     family_corpus,
     paley,
-    random_graph,
     ring_of_cliques,
     splitmix64,
 )
@@ -88,11 +87,12 @@ class EdgeDeletionCheck:
     holds: bool
 
 
-def edge_deletion_check(g: Graph, e: tuple[int, int]) -> EdgeDeletionCheck:
+def edge_deletion_check(g: Graph, e: tuple[int, int], spectra: dict) -> EdgeDeletionCheck:
     """Evaluate E(G) <= E(G - e) + 2 and the spectral-radius interlacing
-    l1(G - e) <= l1(G) for an edge e of g, from one solve per graph."""
-    whole = spectral.eigenvalues(g)
-    reduced = spectral.eigenvalues(delete_edge(g, e))
+    l1(G - e) <= l1(G) for an edge e of g. Each of G and G - e is solved
+    once per `spectra` dict (see spectral.shared_spectrum)."""
+    whole = spectral.shared_spectrum(spectra, g)
+    reduced = spectral.shared_spectrum(spectra, delete_edge(g, e))
     lhs = spectral.spectrum_energy(whole)
     rhs = spectral.spectrum_energy(reduced) + 2.0
     holds = lhs <= rhs + tol.BOUND_SLACK and reduced[0] <= whole[0] + tol.BOUND_SLACK
@@ -245,29 +245,23 @@ def ratio_table(family: str, params, use_closed_form: bool = False) -> list[Rati
 # verification suites
 
 
-def lemma_suite(trials: int, seed: int) -> spectral.SuiteResult:
-    """Edge-deletion inequality on seeded random graphs (n <= 12).
+def lemma_suite(trials: int, seed: int, spectra: dict) -> spectral.SuiteResult:
+    """Edge-deletion inequality on seeded random graphs (2 <= n <= 12, m >= 1).
 
     Each trial draws a graph and one random edge e, and checks both
     E(G) <= E(G - e) + 2 and l1(G - e) <= l1(G) with edge_deletion_check.
+    Each distinct graph is solved once per `spectra` dict.
     """
     trials = check_integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     result = spectral.SuiteResult("lemma")
     stream = splitmix64(seed)
-    for trial in range(trials):
-        n = 2 + next(stream) % 11
-        m = 1 + next(stream) % (n * (n - 1) // 2)
-        graph_seed = next(stream)
-        g = random_graph(n, m, graph_seed)
+    for trial, (label, g) in enumerate(spectral.random_graphs(trials, stream, 2, 1)):
         e = g.edges()[next(stream) % g.m]
-        check = edge_deletion_check(g, e)
-        result.check(
-            check.holds,
-            f"trial {trial}: graph(n={n}, m={m}, seed={graph_seed}), "
-            f"edge={e}, lhs={check.lhs!r}, rhs={check.rhs!r}",
-        )
+        check = edge_deletion_check(g, e, spectra)
+        case = f"trial {trial}: {label}, edge={e}, lhs={check.lhs!r}, rhs={check.rhs!r}"
+        result.check(check.holds, case)
     return result
 
 

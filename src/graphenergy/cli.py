@@ -41,6 +41,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _int(text: str) -> int:
     # argparse type: the edge-list integer rule, in argparse's own wording
+    if text == "--":
+        raise _UsageError("`--` is not an argument value")
     try:
         return graphcore.read_int(text, "argument")
     except ValueError:
@@ -128,7 +130,7 @@ def _cmd_verify(args) -> int:
     # One spectrum per distinct graph per run, shared by the suites below.
     spectra = {}
     runners = {
-        "lemma": lambda: bounds.lemma_suite(args.trials, args.seed),
+        "lemma": lambda: bounds.lemma_suite(args.trials, args.seed, spectra),
         "trace": lambda: spectral.trace_suite(args.trials, args.seed, spectra),
         "closed-forms": lambda: spectral.closed_forms_suite(spectra),
         "bounds": lambda: bounds.bounds_suite(spectra),
@@ -178,8 +180,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # argparse stores [] unchecked for `gen cycle -- --` (3.10-3.13) and
-        # for `--seed=--` up to 3.12; 3.13 passes that '--' to the type check.
+        # argparse up to 3.12 stores [] unchecked for `--seed=--` and for
+        # `gen cycle -- --`; 3.13 passes that '--' to the type, and _int
+        # refuses it with this same message.
         if [] in vars(args).values():
             raise _UsageError("`--` is not an argument value")
     except _UsageError as exc:

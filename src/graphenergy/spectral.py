@@ -107,11 +107,12 @@ def jacobi_eigenvalues(matrix) -> np.ndarray:
     Converged once off(A) < JACOBI_OFF_TOL_PER_N * n after scaling. Raises
     ConvergenceError if that does not happen within JACOBI_MAX_SWEEPS
     sweeps -- a partial result is never returned. Complex, text and byte
-    entries are refused with ValueError, not converted.
+    entries, also inside an object array, are refused with ValueError.
     """
     a = np.asarray(matrix)
-    if a.dtype.kind in "cUS":
-        raise ValueError(f"matrix entries must be real numbers, got dtype {a.dtype}")
+    for x in map(np.asarray, a.flat if a.dtype == object else [a]):
+        if x.dtype.kind in "cUS":
+            raise ValueError(f"matrix entries must be real numbers, got dtype {x.dtype}")
     a = np.array(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
@@ -231,11 +232,12 @@ class SuiteResult:
         return f"SuiteResult({self.name}: {self.passed}/{self.total} pass)"
 
 
-def _random_graphs(trials: int, stream):
-    """`trials` random graphs with n <= 12, labeled, drawn from `stream`."""
+def random_graphs(trials: int, stream, min_n: int, min_m: int):
+    """`trials` labeled random graphs, n in min_n..12 and m in min_m..n(n-1)/2,
+    drawn from `stream` lazily, so a caller may draw from it between yields."""
     for _ in range(trials):
-        n = 1 + next(stream) % 12
-        m = next(stream) % (n * (n - 1) // 2 + 1)
+        n = min_n + next(stream) % (13 - min_n)
+        m = min_m + next(stream) % (n * (n - 1) // 2 + 1 - min_m)
         s = next(stream)
         yield f"random_graph(n={n}, m={m}, seed={s})", random_graph(n, m, s)
 
@@ -248,7 +250,7 @@ def trace_suite(trials: int, seed: int, spectra: dict) -> SuiteResult:
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     result = SuiteResult("trace")
-    randoms = _random_graphs(trials, splitmix64(seed))
+    randoms = random_graphs(trials, splitmix64(seed), 1, 0)
     families = family_corpus(97, 10, (1, 2, 3, 5, 10, 25), (3, 4, 5, 10, 25), (1, 4))
     for label, g in itertools.chain(families, randoms):
         vals = shared_spectrum(spectra, g)

@@ -121,21 +121,21 @@ def test_energy_ratio_ring_3():
 
 
 def test_edge_deletion_check_k2_is_tight():
-    check = edge_deletion_check(complete(2), (0, 1))
+    check = edge_deletion_check(complete(2), (0, 1), {})
     assert check.lhs == pytest.approx(2.0, abs=1e-10)
     assert check.rhs == pytest.approx(2.0, abs=1e-10)
     assert check.holds
 
 
 def test_edge_deletion_check_path3_end_edge():
-    check = edge_deletion_check(path3(), (0, 1))
+    check = edge_deletion_check(path3(), (0, 1), {})
     assert check.lhs == pytest.approx(2 * math.sqrt(2), abs=1e-10)
     assert check.rhs == pytest.approx(4.0, abs=1e-10)
     assert check.holds
 
 
 def test_edge_deletion_check_triangle():
-    check = edge_deletion_check(complete(3), (0, 1))
+    check = edge_deletion_check(complete(3), (0, 1), {})
     assert check.lhs == pytest.approx(4.0, abs=1e-10)
     assert check.rhs == pytest.approx(2.0 + 2 * math.sqrt(2), abs=1e-10)
     assert check.holds
@@ -152,14 +152,14 @@ def test_edge_deletion_check_fails_when_radius_grows(monkeypatch):
         return vals
 
     monkeypatch.setattr("graphenergy.spectral.eigenvalues", radius_grows)
-    check = edge_deletion_check(complete(3), (0, 1))
+    check = edge_deletion_check(complete(3), (0, 1), {})
     assert check.lhs <= check.rhs
     assert not check.holds
 
 
 def test_edge_deletion_check_rejects_absent_edge():
     with pytest.raises(ValueError, match="not in the graph"):
-        edge_deletion_check(path3(), (0, 2))
+        edge_deletion_check(path3(), (0, 2), {})
 
 
 @given(
@@ -171,7 +171,7 @@ def test_edge_deletion_check_rejects_absent_edge():
 def test_edge_deletion_inequality_on_random_graphs(n, seed, pick):
     mmax = n * (n - 1) // 2
     g = random_graph(n, 1 + seed % mmax, seed)
-    check = edge_deletion_check(g, g.edges()[pick % g.m])
+    check = edge_deletion_check(g, g.edges()[pick % g.m], {})
     assert check.holds
 
 
@@ -416,12 +416,12 @@ def test_ring_entry_points_share_one_message():
 
 
 def test_lemma_suite_passes():
-    result = lemma_suite(trials=30, seed=42)
+    result = lemma_suite(trials=30, seed=42, spectra={})
     assert result.ok
     assert result.passed == result.total == 30
 
 
-def test_lemma_suite_solves_two_spectra_per_trial(monkeypatch):
+def test_lemma_suite_solves_each_distinct_matrix_once(monkeypatch):
     calls = []
     real = spectral.jacobi_eigenvalues
 
@@ -430,8 +430,10 @@ def test_lemma_suite_solves_two_spectra_per_trial(monkeypatch):
         return real(matrix, **kwargs)
 
     monkeypatch.setattr("graphenergy.spectral.jacobi_eigenvalues", counting_solve)
-    assert lemma_suite(trials=25, seed=3).ok
-    assert len(calls) == 50
+    spectra = {}
+    # 25 graphs G and 25 graphs G - e hold 44 distinct matrices
+    assert lemma_suite(trials=25, seed=3, spectra=spectra).ok
+    assert len(calls) == len(spectra) == 44
 
 
 def test_suites_on_one_dict_solve_each_family_graph_once(solve_counter):
@@ -458,17 +460,17 @@ def test_suites_with_a_fresh_dict_solve_every_graph(solve_counter):
 
 def test_lemma_suite_rejects_bad_trials():
     with pytest.raises(ValueError):
-        lemma_suite(trials=0, seed=0)
+        lemma_suite(trials=0, seed=0, spectra={})
 
 
 def test_lemma_suite_reads_trials_as_an_integer():
-    assert lemma_suite(trials=np.int64(3), seed=1).total == 3
-    assert lemma_suite(trials=3.0, seed=1).total == 3
+    assert lemma_suite(trials=np.int64(3), seed=1, spectra={}).total == 3
+    assert lemma_suite(trials=3.0, seed=1, spectra={}).total == 3
     with pytest.raises(ValueError, match="trials must be an integer"):
-        lemma_suite(trials=2.5, seed=0)
+        lemma_suite(trials=2.5, seed=0, spectra={})
 
 
 def test_lemma_suite_is_deterministic():
-    a = lemma_suite(trials=10, seed=7)
-    b = lemma_suite(trials=10, seed=7)
+    a = lemma_suite(trials=10, seed=7, spectra={})
+    b = lemma_suite(trials=10, seed=7, spectra={})
     assert a.passed == b.passed and a.failures == b.failures

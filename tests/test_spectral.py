@@ -1,6 +1,7 @@
 """Eigensolver and spectrum utilities against independent oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -106,6 +107,21 @@ def test_jacobi_reads_numeric_object_arrays():
     big = 2**70  # beyond int64, so NumPy stores it as a Python int
     vals = jacobi_eigenvalues(np.array([[0, big], [big, 0]], dtype=object))
     assert vals.tolist() == pytest.approx([big, -big], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[["1", 2], [2, "1"]], [[0, 1j], [-1j, 0]], [[b"1"]]],
+)
+def test_jacobi_refuses_complex_and_text_entries_of_object_arrays(matrix):
+    with pytest.raises(ValueError, match="real numbers"):
+        jacobi_eigenvalues(np.array(matrix, dtype=object))
+
+
+def test_jacobi_reads_booleans_and_fractions_in_object_arrays():
+    half = Fraction(1, 2)
+    vals = jacobi_eigenvalues(np.array([[np.True_, half], [half, np.False_]], dtype=object))
+    assert vals.tolist() == pytest.approx([(1 + math.sqrt(2)) / 2, (1 - math.sqrt(2)) / 2])
 
 
 @pytest.mark.parametrize("s", [1e300, 1e-300, 2.0**500, 2.0**-500])
