@@ -114,7 +114,7 @@ def paley_energy_closed(p) -> float:
 
 def paley_ratio_lower(p) -> float:
     """Crude lower bound sqrt(p)/(sqrt(p) + 2) on the Paley energy ratio."""
-    return _ratio_row("paley", p).paper_bound
+    return _paley_row(p).paper_bound
 
 
 def paley_ratio_closed(p) -> float:
@@ -124,7 +124,7 @@ def paley_ratio_closed(p) -> float:
     collapses to this two-radical form; it lies strictly between the crude
     chain bound and 1.
     """
-    return _ratio_row("paley", p).closed_ratio
+    return _paley_row(p).closed_ratio
 
 
 def ring_clique_energy_closed(q: int) -> float:
@@ -161,7 +161,7 @@ def ring_clique_ratio_upper(q: int) -> float:
 
 @dataclass(frozen=True)
 class RatioRow:
-    """One row of a family ratio sweep."""
+    """One row of a family ratio sweep; the fields are the CSV columns, in order."""
 
     family: str
     param: int
@@ -178,37 +178,31 @@ class RatioRow:
 _FAMILY_BUILDERS = {"paley": paley, "ring_of_cliques": ring_of_cliques}
 
 
-def _ratio_row(family: str, param: int) -> RatioRow:
-    # The closed-form call checks param, so int() after it is exact and the
-    # Paley row needs no second check.
-    if family == "paley":
-        energy = paley_energy_closed(param)
-        param = int(param)
-        n, k = param, (param - 1) // 2
-        bound = e0(n, k)
-        root = math.sqrt(param)
-        closed_ratio = (1.0 + root) / (1.0 + math.sqrt(param + 1))
-        paper_bound = root / (root + 2.0)
-        if not paper_bound < closed_ratio < 1.0:
-            raise ArithmeticError("ratio left its proven bracket")
-    else:
-        energy = ring_clique_energy_closed(param)
-        param = int(param)
-        n, k = param * param, param + 1
-        bound = e0(n, k)
-        closed_ratio, paper_bound = energy / bound, ring_clique_ratio_upper(param)
-    return RatioRow(
-        family=family,
-        param=param,
-        n=n,
-        k=k,
-        m=n * k // 2,
-        energy=energy,
-        e0=bound,
-        ratio=energy / bound,
-        closed_ratio=closed_ratio,
-        paper_bound=paper_bound,
-    )
+# Each closed-form energy call below checks its parameter: int() after it is exact.
+def _paley_row(p) -> RatioRow:
+    energy = paley_energy_closed(p)
+    p = int(p)
+    k = (p - 1) // 2
+    bound = e0(p, k)
+    root = math.sqrt(p)
+    closed_ratio = (1.0 + root) / (1.0 + math.sqrt(p + 1))
+    paper_bound = root / (root + 2.0)
+    if not paper_bound < closed_ratio < 1.0:
+        raise ArithmeticError("ratio left its proven bracket")
+    ratio = energy / bound
+    return RatioRow("paley", p, p, k, p * k // 2, energy, bound, ratio, closed_ratio, paper_bound)
+
+
+def _ring_row(q) -> RatioRow:
+    energy = ring_clique_energy_closed(q)
+    q = int(q)
+    n, k = q * q, q + 1
+    bound = e0(n, k)
+    ratio, upper = energy / bound, ring_clique_ratio_upper(q)
+    return RatioRow("ring_of_cliques", q, n, k, n * k // 2, energy, bound, ratio, ratio, upper)
+
+
+_ROW_FUNCTIONS = {"paley": _paley_row, "ring_of_cliques": _ring_row}
 
 
 def ratio_table(family: str, params, use_closed_form: bool = False) -> list[RatioRow]:
@@ -224,10 +218,11 @@ def ratio_table(family: str, params, use_closed_form: bool = False) -> list[Rati
     """
     if family not in _FAMILY_BUILDERS:
         raise ValueError(f"family must be one of {list(_FAMILY_BUILDERS)}, got {family!r}")
+    row_of = _ROW_FUNCTIONS[family]
     rows = []
     try:
         for param in params:
-            row = _ratio_row(family, param)
+            row = row_of(param)
             if not use_closed_form:
                 check_dense_size(row.n)
             rows.append(row)
@@ -236,8 +231,8 @@ def ratio_table(family: str, params, use_closed_form: bool = False) -> list[Rati
     if not use_closed_form:
         build = _FAMILY_BUILDERS[family]
         for i, row in enumerate(rows):
-            energy = spectral.energy(build(row.param))
-            rows[i] = replace(row, energy=energy, ratio=energy / row.e0)
+            report = energy_report(build(row.param))
+            rows[i] = replace(row, energy=report.energy, ratio=report.ratio)
     return rows
 
 

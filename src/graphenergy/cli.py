@@ -41,8 +41,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _int(text: str) -> int:
     # argparse type: the edge-list integer rule, in argparse's own wording
-    if text == "--":
-        raise _UsageError("`--` is not an argument value")
     try:
         return graphcore.read_int(text, "argument")
     except ValueError:
@@ -178,13 +176,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    end = argv.index("--") if "--" in argv else len(argv)
+    # argparse versions differ on a `--` value, `--seed=--` or a `--` after
+    # the first: some store [] unchecked, some pass it to the type.
+    values = argv[end + 1 :] + [t.partition("=")[2] for t in argv[:end] if t.startswith("--")]
     try:
-        args = parser.parse_args(argv)
-        # argparse up to 3.12 stores [] unchecked for `--seed=--` and for
-        # `gen cycle -- --`; 3.13 passes that '--' to the type, and _int
-        # refuses it with this same message.
-        if [] in vars(args).values():
+        if "--" in values:
             raise _UsageError("`--` is not an argument value")
+        args = parser.parse_args(argv)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_VALIDATION

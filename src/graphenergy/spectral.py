@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -106,12 +107,13 @@ def jacobi_eigenvalues(matrix) -> np.ndarray:
     adjacency matrix is left as is) and is undone on the eigenvalues.
     Converged once off(A) < JACOBI_OFF_TOL_PER_N * n after scaling. Raises
     ConvergenceError if that does not happen within JACOBI_MAX_SWEEPS
-    sweeps -- a partial result is never returned. Complex, text and byte
-    entries, also inside an object array, are refused with ValueError.
+    sweeps -- a partial result is never returned. Entries other than real
+    numbers (bool, int or float, or numbers.Real in an object array) are
+    refused with ValueError: complex, text, bytes, datetimes, timedeltas.
     """
     a = np.asarray(matrix)
     for x in map(np.asarray, a.flat if a.dtype == object else [a]):
-        if x.dtype.kind in "cUS":
+        if not (x.dtype.kind in "biuf" or x.dtype == object and isinstance(x.item(), numbers.Real)):
             raise ValueError(f"matrix entries must be real numbers, got dtype {x.dtype}")
     a = np.array(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -96,6 +96,9 @@ def test_jacobi_reports_nan_as_non_finite_not_asymmetric():
         [[0.0, 1 + 0j], [1 + 0j, 0.0]],
         [["1", "2"], ["2", "1"]],
         [[b"1"]],
+        [[np.datetime64("2020-01-01")]],
+        [[np.timedelta64(3)]],
+        np.array([[{}]], dtype=object),
     ],
 )
 def test_jacobi_refuses_complex_and_text_entries(matrix):
@@ -339,7 +342,7 @@ def test_trace_suite_passes():
     assert result.passed == result.total > 25
 
 
-def test_trace_suite_case_count_is_32_family_graphs_plus_trials():
+def test_trace_suite_case_count_is_32_family_graphs_plus_trials(solve_counter):
     # 11 Paley primes <= 97, rings q = 3..10, 6 complete, 5 cycles, 2 empty
     assert trace_suite(trials=0, seed=0, spectra={}).total == 32
     assert trace_suite(trials=3, seed=5, spectra={}).total == 32 + 3
