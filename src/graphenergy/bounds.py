@@ -245,15 +245,19 @@ def lemma_suite(trials: int, seed: int, spectra: dict) -> spectral.SuiteResult:
 
     Each trial draws a graph and one random edge e, and checks both
     E(G) <= E(G - e) + 2 and l1(G - e) <= l1(G) with edge_deletion_check.
-    Each distinct graph is solved once per `spectra` dict.
+    All trials are drawn first; the distinct G and G - e not yet in the
+    `spectra` dict are then solved as one stack.
     """
     trials = check_integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     result = spectral.SuiteResult("lemma")
     stream = splitmix64(seed)
-    for trial, (label, g) in enumerate(spectral.random_graphs(trials, stream, 2, 1)):
-        e = g.edges()[next(stream) % g.m]
+    # each edge index is drawn between two lazy yields: the stream's order holds
+    randoms = spectral.random_graphs(trials, stream, 2, 1)
+    draws = [(label, g, g.edges()[next(stream) % g.m]) for label, g in randoms]
+    spectral.shared_spectrum(spectra, [h for _, g, e in draws for h in (g, delete_edge(g, e))])
+    for trial, (label, g, e) in enumerate(draws):
         check = edge_deletion_check(g, e, spectra)
         case = f"trial {trial}: {label}, edge={e}, lhs={check.lhs!r}, rhs={check.rhs!r}"
         result.check(check.holds, case)

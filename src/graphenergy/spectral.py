@@ -46,43 +46,55 @@ class ConvergenceError(RuntimeError):
     """The Jacobi iteration did not reach its tolerance within the sweep cap."""
 
 
-def _off_norm(a: np.ndarray) -> float:
+def _off_norms(a: np.ndarray, sizes: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Off-diagonal Frobenius norm of each matrix a[i], i in `live`, summed
+    over its own sizes[i] x sizes[i] block."""
     # Summing off-diagonal squares directly avoids the catastrophic
     # cancellation of total - diagonal, whose error floor (eps * 2m) would
-    # swamp a converged off-norm.
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return math.sqrt(float((off * off).sum()))
+    # swamp a converged off-norm. Each sum runs over one n*n block, so it
+    # adds in the same order for a matrix alone and in a stack.
+    off = np.empty(live.size)
+    live_sizes = sizes[live]
+    for n in set(live_sizes.tolist()):
+        sel = live_sizes == n
+        sq = a[live[sel], :n, :n].reshape(-1, n * n)
+        sq[:, :: n + 1] = 0.0
+        sq *= sq
+        off[sel] = np.sqrt(sq.sum(axis=1))
+    return off
+
+
+def _rotation(app, aqq, apq, sqrt):
+    """tan t, sin s and tan of half the angle of the Jacobi rotation that
+    zeroes a_pq; elementwise on floats with math.sqrt or on arrays with np.sqrt."""
+    tau = (aqq - app) / (2.0 * apq)
+    # t takes the sign of tau, counting tau = -0.0 as positive
+    t = ((tau >= 0.0) * 2.0 - 1.0) / (abs(tau) + sqrt(1.0 + tau * tau))
+    c = 1.0 / sqrt(1.0 + t * t)
+    s = t * c
+    return t, s, s / (1.0 + c)
+
+
+def _rotate(row_p, row_q, s, half):
+    """Rows p and q after the rotation, in the correction form x - s*(y + half*x)
+    rather than the direct c*x - s*y: for tiny angles c rounds to 1.0 and the
+    direct form stops contracting the off-diagonal mass."""
+    return row_p - s * (row_q + half * row_p), row_q + s * (row_p - half * row_q)
 
 
 def _jacobi_sweep(a: np.ndarray, skip: float) -> None:
-    """One cyclic sweep of Givens rotations, in place.
-
-    Entries with |a_pq| < skip are left alone. Updates use the correction
-    form x - s*(y + half*x) rather than the direct c*x - s*y: for tiny
-    angles c rounds to 1.0 and the direct form stops contracting the
-    off-diagonal mass.
-    """
+    """One cyclic sweep of rotations over matrix a, in place; entries with
+    |a_pq| < skip are left alone."""
     n = a.shape[0]
     for p in range(n - 1):
         for q in range(p + 1, n):
-            apq = a[p, q]
+            apq = a.item(p, q)
             if abs(apq) < skip:
                 continue
-            app = a[p, p]
-            aqq = a[q, q]
-            tau = (aqq - app) / (2.0 * apq)
-            if tau >= 0.0:
-                t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-            else:
-                t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            half = s / (1.0 + c)  # tan of half the rotation angle
+            app, aqq = a.item(p, p), a.item(q, q)
+            t, s, half = _rotation(app, aqq, apq, math.sqrt)
             # views of rows p, q: a stays exactly symmetric, so they equal the columns
-            row_p, row_q = a[p], a[q]
-            new_p = row_p - s * (row_q + half * row_p)
-            new_q = row_q + s * (row_p - half * row_q)
+            new_p, new_q = _rotate(a[p], a[q], s, half)
             a[:, p] = new_p
             a[p, :] = new_p
             a[:, q] = new_q
@@ -93,8 +105,34 @@ def _jacobi_sweep(a: np.ndarray, skip: float) -> None:
             a[q, p] = 0.0
 
 
-def jacobi_eigenvalues(matrix) -> np.ndarray:
-    """All eigenvalues of a real symmetric matrix, sorted descending.
+def _stack_sweep(a: np.ndarray, live: np.ndarray, skip: np.ndarray) -> None:
+    """_jacobi_sweep on each matrix a[i], i in `live`, with its own skip: each
+    pair (p, q) rotates at once every live matrix whose |a_pq| >= skip."""
+    n = a.shape[1]
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            apq = a[live, p, q]
+            hit = np.abs(apq) >= skip
+            if not hit.any():
+                continue
+            idx, apq = live[hit], apq[hit]
+            app, aqq = a[idx, p, p], a[idx, q, q]
+            t, s, half = _rotation(app, aqq, apq, np.sqrt)
+            new_p, new_q = _rotate(a[idx, p], a[idx, q], s[:, None], half[:, None])
+            a[idx, :, p] = new_p
+            a[idx, p] = new_p
+            a[idx, :, q] = new_q
+            a[idx, q] = new_q
+            a[idx, p, p] = app - t * apq
+            a[idx, q, q] = aqq + t * apq
+            a[idx, p, q] = 0.0
+            a[idx, q, p] = 0.0
+
+
+def jacobi_eigenvalues(matrix, sizes=None):
+    """All eigenvalues of a real symmetric matrix, sorted descending; given a
+    (b, N, N) stack and b integer `sizes`, a list of b spectra, matrix i
+    being the stack's leading sizes[i] x sizes[i] block.
 
     Threshold-cyclic Jacobi on a private float64 copy: each sweep visits
     every index pair but rotates only entries at or above off(A)/n, where
@@ -110,60 +148,113 @@ def jacobi_eigenvalues(matrix) -> np.ndarray:
     sweeps -- a partial result is never returned. Entries other than real
     numbers (bool, int or float, or numbers.Real in an object array) are
     refused with ValueError: complex, text, bytes, datetimes, timedeltas.
+
+    A stack runs every matrix's own scaling, thresholds and convergence
+    test, one pair (p, q) at a time across the stack, so each spectrum is
+    bit for bit the one the matrix gets alone. That pays for many small
+    matrices; a single large one is faster alone. Entries outside a
+    matrix's block must be zero.
     """
     a = np.asarray(matrix)
-    for x in map(np.asarray, a.flat if a.dtype == object else [a]):
-        if not (x.dtype.kind in "biuf" or x.dtype == object and isinstance(x.item(), numbers.Real)):
-            raise ValueError(f"matrix entries must be real numbers, got dtype {x.dtype}")
+    if a.dtype == object:
+        for x in a.flat:
+            if not (np.asarray(x).dtype.kind in "biuf" or isinstance(x, numbers.Real)):
+                kind = type(x).__name__
+                raise ValueError(f"matrix entries must be real numbers, got a {kind} entry")
+    elif a.dtype.kind not in "biuf":
+        raise ValueError(f"matrix entries must be real numbers, got dtype {a.dtype}")
     a = np.array(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"matrix must be square, or a stack of square ones, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite (no inf or NaN)")
-    if not np.array_equal(a, a.T):
+    if not np.array_equal(a, np.swapaxes(a, -1, -2)):
         raise ValueError("matrix must be symmetric")
-    n = a.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
-    amax = max(a.max(), -a.min())
-    shift = 1 - math.frexp(amax)[1] if amax else 0
-    np.ldexp(a, shift, out=a)
-    threshold = tol.JACOBI_OFF_TOL_PER_N * n
-    for sweep in range(tol.JACOBI_MAX_SWEEPS + 1):
-        off = _off_norm(a)
-        if off < threshold:
+    if a.ndim == 2:
+        if sizes is not None:
+            raise ValueError("sizes applies only to a stack of matrices")
+        return _solve(a[None], np.array([a.shape[0]]), stacked=False)[0]
+    b, n = a.shape[:2]
+    if np.shape(sizes) != (b,) or np.asarray(sizes).dtype.kind not in "iu":
+        raise ValueError(f"a stack of {b} matrices needs {b} integer sizes, got {sizes!r}")
+    if b and not 0 <= np.min(sizes) <= np.max(sizes) <= n:
+        raise ValueError(f"sizes must be in 0..{n}, got {sizes!r}")
+    sizes = np.asarray(sizes, dtype=np.int64)
+    outside = np.arange(n) >= sizes[:, None]
+    if np.any(a, where=outside[:, :, None] | outside[:, None, :]):
+        raise ValueError("entries outside each matrix's sizes[i] x sizes[i] block must be zero")
+    return _solve(a, sizes, stacked=True)
+
+
+def _solve(a: np.ndarray, sizes: np.ndarray, stacked: bool) -> list:
+    """The spectra of the (b, N, N) stack a, scaled and swept in place; a
+    stack of one that is not `stacked` runs the scalar sweep."""
+    amax = np.maximum(a.max(axis=(1, 2), initial=0.0), -a.min(axis=(1, 2), initial=0.0))
+    shift = np.where(amax > 0.0, 1 - np.frexp(amax)[1], 0)
+    np.ldexp(a, shift[:, None, None], out=a)
+    threshold = tol.JACOBI_OFF_TOL_PER_N * sizes
+    live = np.flatnonzero(sizes)
+    for count in range(tol.JACOBI_MAX_SWEEPS + 1):
+        off = _off_norms(a, sizes, live)
+        keep = off >= threshold[live]
+        live, off = live[keep], off[keep]
+        if not live.size:
             break
-        if sweep == tol.JACOBI_MAX_SWEEPS:
+        if count == tol.JACOBI_MAX_SWEEPS:
+            i = live[0]
+            where = f"matrix {i} of the stack: " if stacked else ""
             raise ConvergenceError(
-                f"off-diagonal norm {off:.3e} still above {threshold:.3e} "
-                f"after {sweep} sweeps (n={n})"
+                f"{where}off-diagonal norm {off[0]:.3e} still above {threshold[i]:.3e} "
+                f"after {count} sweeps (n={sizes[i]})"
             )
-        _jacobi_sweep(a, off / n)
-    return np.ldexp(np.sort(np.diagonal(a))[::-1], -shift)
+        skip = off / sizes[live]
+        if stacked:
+            _stack_sweep(a, live, skip)
+        else:
+            _jacobi_sweep(a[0], float(skip[0]))
+    return [np.ldexp(np.sort(np.diagonal(m)[:n])[::-1], -s) for m, n, s in zip(a, sizes, shift)]
 
 
-def eigenvalues(g: Graph) -> np.ndarray:
-    """Adjacency spectrum of g, sorted descending."""
-    if g.n < 1:
+def eigenvalues(g):
+    """Adjacency spectrum of g, sorted descending. Given a list of graphs,
+    the list of their spectra, solved as one zero-padded Jacobi stack."""
+    if isinstance(g, Graph):
+        if g.n < 1:
+            raise ValueError("spectrum needs at least one vertex")
+        return jacobi_eigenvalues(g.adjacency)
+    graphs = list(g)
+    if not graphs:
+        return []
+    sizes = np.array([h.n for h in graphs])
+    if sizes.min() < 1:
         raise ValueError("spectrum needs at least one vertex")
-    return jacobi_eigenvalues(g.adjacency)
+    n = sizes.max()
+    stack = np.zeros((len(graphs), n, n), dtype=bool)
+    for block, h in zip(stack, graphs):
+        block[: h.n, : h.n] = h.adjacency
+    return jacobi_eigenvalues(stack, sizes)
 
 
-def shared_spectrum(spectra: dict, g: Graph) -> np.ndarray:
+def shared_spectrum(spectra: dict, g):
     """eigenvalues(g), solved the first time g's adjacency matrix is seen in
     `spectra` and stored there read-only; later calls return the stored array.
+    Given a list of graphs, the list of their spectra: the matrices not yet
+    in `spectra` are solved together, as one stack.
 
     `spectra` is the caller's own dict, keyed by the bytes of the boolean
     matrix. They fix n and every entry, so suites that share the dict solve
     each distinct graph once, even under two names (K_3 and C_3).
     """
-    key = g.adjacency.tobytes()
-    vals = spectra.get(key)
-    if vals is None:
-        vals = eigenvalues(g)
-        vals.setflags(write=False)
-        spectra[key] = vals
-    return vals
+    single = isinstance(g, Graph)
+    graphs = [g] if single else list(g)
+    keys = [h.adjacency.tobytes() for h in graphs]
+    new = {key: h for key, h in zip(keys, graphs) if key not in spectra}
+    if new:
+        solved = [eigenvalues(g)] if single else eigenvalues(list(new.values()))
+        for key, vals in zip(new, solved):
+            vals.setflags(write=False)
+            spectra[key] = vals
+    return spectra[keys[0]] if single else [spectra[key] for key in keys]
 
 
 def spectrum_energy(vals) -> float:
@@ -247,12 +338,14 @@ def random_graphs(trials: int, stream, min_n: int, min_m: int):
 def trace_suite(trials: int, seed: int, spectra: dict) -> SuiteResult:
     """Check the two trace identities, sum(l) = 0 and sum(l^2) = 2m, over
     the 32 family graphs with n <= 100 and `trials` seeded random graphs.
-    Each distinct graph is solved once per `spectra` dict (see shared_spectrum)."""
+    Each distinct graph is solved once per `spectra` dict (see shared_spectrum):
+    the random graphs as one stack, the family graphs one by one."""
     trials = check_integer(trials, "trials")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     result = SuiteResult("trace")
-    randoms = random_graphs(trials, splitmix64(seed), 1, 0)
+    randoms = list(random_graphs(trials, splitmix64(seed), 1, 0))
+    shared_spectrum(spectra, [g for _, g in randoms])
     families = family_corpus(97, 10, (1, 2, 3, 5, 10, 25), (3, 4, 5, 10, 25), (1, 4))
     for label, g in itertools.chain(families, randoms):
         vals = shared_spectrum(spectra, g)

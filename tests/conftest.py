@@ -36,13 +36,31 @@ def paley_spectrum_401():
 @pytest.fixture
 def solve_counter(monkeypatch):
     """Replace the Jacobi solver with LAPACK for speed; the returned list
-    gets the order of every matrix solved."""
+    gets the order of every matrix solved, each matrix of a stack counted."""
     calls = []
 
-    def lapack(matrix):
+    def lapack(matrix, sizes=None):
         a = np.asarray(matrix, dtype=np.float64)
-        calls.append(a.shape[0])
-        return np.linalg.eigvalsh(a)[::-1]
+        if a.ndim == 2:
+            calls.append(a.shape[0])
+            return np.linalg.eigvalsh(a)[::-1]
+        calls.extend(int(n) for n in sizes)
+        return [np.linalg.eigvalsh(m[:n, :n])[::-1] for m, n in zip(a, sizes)]
 
     monkeypatch.setattr("graphenergy.spectral.jacobi_eigenvalues", lapack)
+    return calls
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Record every call of the Jacobi solver, which still runs: None for a
+    lone matrix, the list of sizes for a stack."""
+    calls = []
+    real = spectral.jacobi_eigenvalues
+
+    def recording(matrix, sizes=None):
+        calls.append(None if sizes is None else [int(n) for n in sizes])
+        return real(matrix, sizes)
+
+    monkeypatch.setattr("graphenergy.spectral.jacobi_eigenvalues", recording)
     return calls

@@ -279,6 +279,13 @@ def test_verify_all_solves_each_family_graph_once(capsys, solve_counter):
     assert len(solve_counter) == 168 + 98 + 12 + 83 == 361
 
 
+def test_verify_lemma_solves_its_distinct_matrices_in_one_stack(capsys, solver_calls):
+    code, out, err = run(capsys, "verify", "lemma", "--trials", "1000", "--seed", "1")
+    assert (code, out, err) == (0, "lemma: 1000/1000 pass\n", "")
+    # the 1000 graphs G and 1000 graphs G - e hold 1400 distinct matrices
+    assert len(solver_calls) == 1 and len(solver_calls[0]) == 1400
+
+
 def test_ratio_table_numeric_refuses_oversized_graph_before_any_solve(capsys, solve_counter):
     # q = 64 has 4096 vertices and fits; q = 65 has 4225 and is refused before q = 64 is solved
     code, _, err = run(capsys, "ratio-table", "ring-clique", "64..65", "--mode", "numeric")

@@ -1,6 +1,7 @@
 """Eigensolver and spectrum utilities against independent oracles."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphenergy import tolerances as tol
-from graphenergy.bounds import EnergyReport
+from graphenergy.bounds import EnergyReport, lemma_suite
 from graphenergy.graphcore import (
     Graph,
     complete,
@@ -21,6 +22,7 @@ from graphenergy.graphcore import (
     permute,
     random_graph,
     ring_of_cliques,
+    splitmix64,
 )
 from graphenergy.spectral import (
     ConvergenceError,
@@ -29,6 +31,7 @@ from graphenergy.spectral import (
     energy,
     jacobi_eigenvalues,
     paley_spectrum_closed,
+    random_graphs,
     ring_clique_spectrum_closed,
     shared_spectrum,
     trace_suite,
@@ -121,6 +124,12 @@ def test_jacobi_refuses_complex_and_text_entries_of_object_arrays(matrix):
         jacobi_eigenvalues(np.array(matrix, dtype=object))
 
 
+@pytest.mark.parametrize("entry, name", [({}, "dict"), (Decimal(1), "Decimal"), (1j, "complex")])
+def test_jacobi_names_the_type_of_a_refused_object_entry(entry, name):
+    with pytest.raises(ValueError, match=f"real numbers, got a {name} entry$"):
+        jacobi_eigenvalues(np.array([[0, entry], [entry, 0]], dtype=object))
+
+
 def test_jacobi_reads_booleans_and_fractions_in_object_arrays():
     half = Fraction(1, 2)
     vals = jacobi_eigenvalues(np.array([[np.True_, half], [half, np.False_]], dtype=object))
@@ -181,6 +190,129 @@ def test_jacobi_commutes_with_power_of_two_scaling_and_matches_lapack(a):
         assert np.array_equal(jacobi_eigenvalues(np.ldexp(a, k)), np.ldexp(vals, k))
     scale = max(1.0, float(np.abs(a).max()))
     assert np.abs(vals - np.linalg.eigvalsh(a)[::-1]).max() <= tol.CLOSED_SPECTRUM_TOL * scale
+
+
+# ---------------------------------------------------------------------------
+# stacks of matrices
+
+
+def _stacked(matrices, pad):
+    """The matrices zero-padded into one (b, N, N) stack, N = largest n + pad."""
+    sizes = [len(m) for m in matrices]
+    n = max(sizes) + pad
+    stack = np.zeros((len(matrices), n, n))
+    for block, m in zip(stack, matrices):
+        block[: len(m), : len(m)] = m
+    return stack, sizes
+
+
+def _assert_stack_matches_lone_solves(spectra):
+    """Every spectrum a suite stored equals, byte for byte, a lone 2-D solve."""
+    for key, vals in spectra.items():
+        n = math.isqrt(len(key))
+        alone = jacobi_eigenvalues(np.frombuffer(key, dtype=bool).reshape(n, n))
+        assert vals.tobytes() == alone.tobytes(), n
+
+
+def test_lemma_suite_stack_gives_each_matrix_its_lone_spectrum(solver_calls):
+    spectra = {}
+    assert lemma_suite(trials=200, seed=1, spectra=spectra).ok
+    # one call: a stack of the 314 distinct G and G - e
+    assert len(solver_calls) == 1 and len(solver_calls[0]) == len(spectra) == 314
+    _assert_stack_matches_lone_solves(spectra)
+
+
+def test_trace_suite_stack_gives_each_random_graph_its_lone_spectrum(solver_calls):
+    spectra = {}
+    assert trace_suite(trials=100, seed=1, spectra=spectra).ok
+    # the 82 distinct random graphs in one stack; the family graphs alone
+    stacks = [sizes for sizes in solver_calls if sizes is not None]
+    assert len(stacks) == 1 and len(stacks[0]) == 82
+    randoms = {g.adjacency.tobytes() for _, g in random_graphs(100, splitmix64(1), 1, 0)}
+    _assert_stack_matches_lone_solves({key: spectra[key] for key in randoms})
+
+
+@given(
+    st.lists(
+        st.tuples(symmetric_matrices(), st.sampled_from([-500, -3, 0, 1, 7, 500])),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(0, 2),
+)
+@settings(deadline=None)
+def test_jacobi_stack_matches_each_matrix_solved_alone(scaled, pad):
+    matrices = [np.ldexp(a, k) for a, k in scaled]
+    stack, sizes = _stacked(matrices, pad)
+    for vals, a in zip(jacobi_eigenvalues(stack, sizes), matrices):
+        assert vals.tobytes() == jacobi_eigenvalues(a).tobytes()
+
+
+def test_jacobi_stack_sums_each_off_norm_over_the_matrixs_own_block():
+    # trial 659 of lemma_suite(1000, seed=1): summed over the whole padded
+    # 12 x 12 block, its off-norm rounds otherwise and one eigenvalue moves
+    edges = [(0, 1), (0, 2), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (4, 5)]
+    a = from_edge_list(6, edges).adjacency
+    stack, sizes = _stacked([a], 6)
+    assert jacobi_eigenvalues(stack, sizes)[0].tobytes() == jacobi_eigenvalues(a).tobytes()
+
+
+def test_jacobi_stack_takes_equal_and_empty_blocks():
+    stack = np.stack([complete(3).adjacency, cycle(3).adjacency])
+    k3, c3 = jacobi_eigenvalues(stack, [3, 3])
+    assert k3.tobytes() == c3.tobytes() == jacobi_eigenvalues(complete(3).adjacency).tobytes()
+    vals = jacobi_eigenvalues(np.zeros((2, 3, 3)), np.array([0, 3], dtype=np.uint8))
+    assert [v.tolist() for v in vals] == [[], [0.0, 0.0, 0.0]]
+    assert jacobi_eigenvalues(np.zeros((0, 4, 4)), np.zeros(0, dtype=int)) == []
+    assert eigenvalues([]) == []
+
+
+def test_jacobi_stack_refuses_bad_sizes_and_nonzero_padding():
+    stack, sizes = _stacked([complete(2).adjacency, cycle(4).adjacency], 0)
+    for bad in (None, [2, 5], [-1, 4], [2], [2, 4, 4], [2.0, 4.0], [True, True], [[2, 4]]):
+        with pytest.raises(ValueError, match="sizes"):
+            jacobi_eigenvalues(stack, bad)
+    stack[0, 3, 3] = 1.0
+    with pytest.raises(ValueError, match="outside"):
+        jacobi_eigenvalues(stack, sizes)
+    stack[0, 3, 3] = 0.0
+    stack[0, 0, 2] = stack[0, 2, 0] = 1.0
+    with pytest.raises(ValueError, match="outside"):
+        jacobi_eigenvalues(stack, sizes)
+    with pytest.raises(ValueError, match="sizes applies only to a stack"):
+        jacobi_eigenvalues(cycle(4).adjacency, [4])
+    with pytest.raises(ValueError, match="symmetric"):
+        jacobi_eigenvalues(np.triu(np.ones((2, 3, 3))), [3, 3])
+    with pytest.raises(ValueError, match="at least one vertex"):
+        eigenvalues([cycle(3), empty(0)])
+
+
+def test_jacobi_stack_names_the_matrix_that_hits_the_sweep_cap(monkeypatch):
+    # one rotation solves K_2 in the first sweep; C_5 needs more
+    monkeypatch.setattr(tol, "JACOBI_MAX_SWEEPS", 1)
+    stack, sizes = _stacked([complete(2).adjacency, cycle(5).adjacency], 0)
+    message = r"^matrix 1 of the stack: .* after 1 sweeps \(n=5\)$"
+    with pytest.raises(ConvergenceError, match=message):
+        jacobi_eigenvalues(stack, sizes)
+
+
+def test_eigenvalues_of_a_list_of_graphs_is_one_stack(solve_counter):
+    graphs = [complete(3), cycle(5), paley(13)]
+    vals = eigenvalues(graphs)
+    assert solve_counter == [3, 5, 13]
+    assert [v.tolist() for v in vals] == [eigenvalues(g).tolist() for g in graphs]
+
+
+def test_shared_spectrum_of_a_list_solves_the_new_matrices_as_one_stack(solver_calls):
+    spectra = {}
+    k3 = shared_spectrum(spectra, complete(3))
+    got = shared_spectrum(spectra, [cycle(3), cycle(4), paley(5), cycle(4), cycle(5)])
+    assert solver_calls == [None, [4, 5]]
+    assert got[0] is k3 and got[1] is got[3] and got[2] is got[4]
+    assert not any(vals.flags.writeable for vals in got)
+    assert shared_spectrum(spectra, [cycle(4)])[0] is got[1]
+    assert shared_spectrum(spectra, []) == []
+    assert solver_calls == [None, [4, 5]]
 
 
 def test_eigenvalues_sorted_descending():
