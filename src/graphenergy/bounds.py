@@ -87,12 +87,9 @@ class EdgeDeletionCheck:
     holds: bool
 
 
-def edge_deletion_check(g: Graph, e: tuple[int, int], spectra: dict) -> EdgeDeletionCheck:
+def edge_deletion_check(whole, reduced) -> EdgeDeletionCheck:
     """Evaluate E(G) <= E(G - e) + 2 and the spectral-radius interlacing
-    l1(G - e) <= l1(G) for an edge e of g. Each of G and G - e is solved
-    once per `spectra` dict (see spectral.shared_spectrum)."""
-    whole = spectral.shared_spectrum(spectra, g)
-    reduced = spectral.shared_spectrum(spectra, delete_edge(g, e))
+    l1(G - e) <= l1(G) from the descending spectra of G and of G - e."""
     lhs = spectral.spectrum_energy(whole)
     rhs = spectral.spectrum_energy(reduced) + 2.0
     holds = lhs <= rhs + tol.BOUND_SLACK and reduced[0] <= whole[0] + tol.BOUND_SLACK
@@ -256,9 +253,11 @@ def lemma_suite(trials: int, seed: int, spectra: dict) -> spectral.SuiteResult:
     # each edge index is drawn between two lazy yields: the stream's order holds
     randoms = spectral.random_graphs(trials, stream, 2, 1)
     draws = [(label, g, g.edges()[next(stream) % g.m]) for label, g in randoms]
-    spectral.shared_spectrum(spectra, [h for _, g, e in draws for h in (g, delete_edge(g, e))])
-    for trial, (label, g, e) in enumerate(draws):
-        check = edge_deletion_check(g, e, spectra)
+    # trial t's G and G - e are at 2t and 2t + 1
+    graphs = [h for _, g, e in draws for h in (g, delete_edge(g, e))]
+    vals = spectral.shared_spectrum(spectra, graphs)
+    for trial, (label, _, e) in enumerate(draws):
+        check = edge_deletion_check(vals[2 * trial], vals[2 * trial + 1])
         case = f"trial {trial}: {label}, edge={e}, lhs={check.lhs!r}, rhs={check.rhs!r}"
         result.check(check.holds, case)
     return result

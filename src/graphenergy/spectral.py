@@ -151,9 +151,8 @@ def jacobi_eigenvalues(matrix, sizes=None):
 
     A stack runs every matrix's own scaling, thresholds and convergence
     test, one pair (p, q) at a time across the stack, so each spectrum is
-    bit for bit the one the matrix gets alone. That pays for many small
-    matrices; a single large one is faster alone. Entries outside a
-    matrix's block must be zero.
+    bit for bit the one the matrix gets alone. Entries outside a matrix's
+    block must be zero.
     """
     a = np.asarray(matrix)
     if a.dtype == object:
@@ -173,9 +172,9 @@ def jacobi_eigenvalues(matrix, sizes=None):
     if a.ndim == 2:
         if sizes is not None:
             raise ValueError("sizes applies only to a stack of matrices")
-        return _solve(a[None], np.array([a.shape[0]]), stacked=False)[0]
+        return _solve(a[None], np.array([a.shape[0]]))[0]
     b, n = a.shape[:2]
-    if np.shape(sizes) != (b,) or np.asarray(sizes).dtype.kind not in "iu":
+    if np.shape(sizes) != (b,) or (b and np.asarray(sizes).dtype.kind not in "iu"):
         raise ValueError(f"a stack of {b} matrices needs {b} integer sizes, got {sizes!r}")
     if b and not 0 <= np.min(sizes) <= np.max(sizes) <= n:
         raise ValueError(f"sizes must be in 0..{n}, got {sizes!r}")
@@ -183,12 +182,12 @@ def jacobi_eigenvalues(matrix, sizes=None):
     outside = np.arange(n) >= sizes[:, None]
     if np.any(a, where=outside[:, :, None] | outside[:, None, :]):
         raise ValueError("entries outside each matrix's sizes[i] x sizes[i] block must be zero")
-    return _solve(a, sizes, stacked=True)
+    return _solve(a, sizes)
 
 
-def _solve(a: np.ndarray, sizes: np.ndarray, stacked: bool) -> list:
-    """The spectra of the (b, N, N) stack a, scaled and swept in place; a
-    stack of one that is not `stacked` runs the scalar sweep."""
+def _solve(a: np.ndarray, sizes: np.ndarray) -> list:
+    """The spectra of the (b, N, N) stack a, scaled and swept in place. A
+    sweep with one matrix left unconverged runs the scalar loop on its block."""
     amax = np.maximum(a.max(axis=(1, 2), initial=0.0), -a.min(axis=(1, 2), initial=0.0))
     shift = np.where(amax > 0.0, 1 - np.frexp(amax)[1], 0)
     np.ldexp(a, shift[:, None, None], out=a)
@@ -202,16 +201,17 @@ def _solve(a: np.ndarray, sizes: np.ndarray, stacked: bool) -> list:
             break
         if count == tol.JACOBI_MAX_SWEEPS:
             i = live[0]
-            where = f"matrix {i} of the stack: " if stacked else ""
+            where = f"matrix {i} of the stack: " if len(a) > 1 else ""
             raise ConvergenceError(
                 f"{where}off-diagonal norm {off[0]:.3e} still above {threshold[i]:.3e} "
                 f"after {count} sweeps (n={sizes[i]})"
             )
         skip = off / sizes[live]
-        if stacked:
-            _stack_sweep(a, live, skip)
+        if live.size == 1:
+            i, n = live[0], sizes[live[0]]
+            _jacobi_sweep(a[i, :n, :n], float(skip[0]))
         else:
-            _jacobi_sweep(a[0], float(skip[0]))
+            _stack_sweep(a, live, skip)
     return [np.ldexp(np.sort(np.diagonal(m)[:n])[::-1], -s) for m, n, s in zip(a, sizes, shift)]
 
 

@@ -26,13 +26,19 @@ from graphenergy.bounds import (
 )
 from graphenergy.graphcore import (
     complete,
+    delete_edge,
     from_edge_list,
     paley,
     paley_primes,
     random_graph,
     ring_of_cliques,
 )
-from graphenergy.spectral import energy, paley_spectrum_closed, ring_clique_spectrum_closed
+from graphenergy.spectral import (
+    eigenvalues,
+    energy,
+    paley_spectrum_closed,
+    ring_clique_spectrum_closed,
+)
 
 
 def path3():
@@ -120,46 +126,39 @@ def test_energy_ratio_ring_3():
 # edge-deletion inequality
 
 
+def _deletion_check(g, e):
+    return edge_deletion_check(eigenvalues(g), eigenvalues(delete_edge(g, e)))
+
+
 def test_edge_deletion_check_k2_is_tight():
-    check = edge_deletion_check(complete(2), (0, 1), {})
+    check = _deletion_check(complete(2), (0, 1))
     assert check.lhs == pytest.approx(2.0, abs=1e-10)
     assert check.rhs == pytest.approx(2.0, abs=1e-10)
     assert check.holds
 
 
 def test_edge_deletion_check_path3_end_edge():
-    check = edge_deletion_check(path3(), (0, 1), {})
+    check = _deletion_check(path3(), (0, 1))
     assert check.lhs == pytest.approx(2 * math.sqrt(2), abs=1e-10)
     assert check.rhs == pytest.approx(4.0, abs=1e-10)
     assert check.holds
 
 
 def test_edge_deletion_check_triangle():
-    check = edge_deletion_check(complete(3), (0, 1), {})
+    check = _deletion_check(complete(3), (0, 1))
     assert check.lhs == pytest.approx(4.0, abs=1e-10)
     assert check.rhs == pytest.approx(2.0 + 2 * math.sqrt(2), abs=1e-10)
     assert check.holds
 
 
-def test_edge_deletion_check_fails_when_radius_grows(monkeypatch):
+def test_edge_deletion_check_fails_when_radius_grows():
     # E(K3) <= E(P3) + 2 still holds, but l1(G - e) > l1(G) must fail it
-    real = spectral.eigenvalues
-
-    def radius_grows(g):
-        vals = real(g)
-        if g.m == 2:
-            vals[0] = real(complete(3))[0] + 1e-6
-        return vals
-
-    monkeypatch.setattr("graphenergy.spectral.eigenvalues", radius_grows)
-    check = edge_deletion_check(complete(3), (0, 1), {})
+    whole = eigenvalues(complete(3))
+    reduced = eigenvalues(path3())
+    reduced[0] = whole[0] + 1e-6
+    check = edge_deletion_check(whole, reduced)
     assert check.lhs <= check.rhs
     assert not check.holds
-
-
-def test_edge_deletion_check_rejects_absent_edge():
-    with pytest.raises(ValueError, match="not in the graph"):
-        edge_deletion_check(path3(), (0, 2), {})
 
 
 @given(
@@ -171,8 +170,7 @@ def test_edge_deletion_check_rejects_absent_edge():
 def test_edge_deletion_inequality_on_random_graphs(n, seed, pick):
     mmax = n * (n - 1) // 2
     g = random_graph(n, 1 + seed % mmax, seed)
-    check = edge_deletion_check(g, g.edges()[pick % g.m], {})
-    assert check.holds
+    assert _deletion_check(g, g.edges()[pick % g.m]).holds
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +454,18 @@ def test_suites_with_a_fresh_dict_solve_every_graph(solve_counter):
     # 29 distinct family graphs (K_1 = empty(1) too) and 3 new random ones
     assert spectral.trace_suite(trials=5, seed=2, spectra={}).ok
     assert len(solve_counter) == 31 + 127 + 29 + 3
+
+
+def test_lemma_suite_builds_each_reduced_graph_once(monkeypatch):
+    calls = []
+
+    def counting_delete_edge(g, e):
+        calls.append(e)
+        return delete_edge(g, e)
+
+    monkeypatch.setattr("graphenergy.bounds.delete_edge", counting_delete_edge)
+    assert lemma_suite(trials=25, seed=3, spectra={}).ok
+    assert len(calls) == 25
 
 
 def test_lemma_suite_rejects_bad_trials():

@@ -316,8 +316,8 @@ def test_verify_reports_failures_with_inputs(capsys, monkeypatch):
 
     real = bounds.edge_deletion_check
 
-    def broken(g, e, spectra):
-        check = real(g, e, spectra)
+    def broken(whole, reduced):
+        check = real(whole, reduced)
         return type(check)(lhs=check.lhs, rhs=check.rhs, holds=False)
 
     monkeypatch.setattr("graphenergy.bounds.edge_deletion_check", broken)

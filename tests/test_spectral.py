@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphenergy import spectral
 from graphenergy import tolerances as tol
 from graphenergy.bounds import EnergyReport, lemma_suite
 from graphenergy.graphcore import (
@@ -264,6 +265,7 @@ def test_jacobi_stack_takes_equal_and_empty_blocks():
     vals = jacobi_eigenvalues(np.zeros((2, 3, 3)), np.array([0, 3], dtype=np.uint8))
     assert [v.tolist() for v in vals] == [[], [0.0, 0.0, 0.0]]
     assert jacobi_eigenvalues(np.zeros((0, 4, 4)), np.zeros(0, dtype=int)) == []
+    assert jacobi_eigenvalues(np.zeros((0, 3, 3)), []) == []
     assert eigenvalues([]) == []
 
 
@@ -294,6 +296,37 @@ def test_jacobi_stack_names_the_matrix_that_hits_the_sweep_cap(monkeypatch):
     message = r"^matrix 1 of the stack: .* after 1 sweeps \(n=5\)$"
     with pytest.raises(ConvergenceError, match=message):
         jacobi_eigenvalues(stack, sizes)
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Count the solver's sweeps by loop: "stack" or "scalar" per call."""
+    calls = []
+    for name, loop in (("_stack_sweep", "stack"), ("_jacobi_sweep", "scalar")):
+        real = getattr(spectral, name)
+
+        def counting(*args, real=real, loop=loop):
+            calls.append(loop)
+            return real(*args)
+
+        monkeypatch.setattr(spectral, name, counting)
+    return calls
+
+
+def test_a_list_of_one_graph_runs_the_scalar_loop(sweep_calls):
+    g = paley(101)
+    (vals,) = shared_spectrum({}, [g])
+    assert "stack" not in sweep_calls
+    assert vals.tobytes() == eigenvalues(g).tobytes()
+
+
+def test_the_last_live_matrix_of_a_stack_runs_the_scalar_loop(sweep_calls):
+    graphs = [complete(2), cycle(12)]
+    vals = eigenvalues(graphs)
+    # K_2 converges in the first sweep; C_12 then sweeps alone
+    assert sweep_calls[:1] == ["stack"] and set(sweep_calls[1:]) == {"scalar"}
+    for v, g in zip(vals, graphs):
+        assert v.tobytes() == eigenvalues(g).tobytes()
 
 
 def test_eigenvalues_of_a_list_of_graphs_is_one_stack(solve_counter):
