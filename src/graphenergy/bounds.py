@@ -242,8 +242,8 @@ def lemma_suite(trials: int, seed: int, spectra: dict) -> spectral.SuiteResult:
 
     Each trial draws a graph and one random edge e, and checks both
     E(G) <= E(G - e) + 2 and l1(G - e) <= l1(G) with edge_deletion_check.
-    All trials are drawn first; the distinct G and G - e not yet in the
-    `spectra` dict are then solved as one stack.
+    All trials are drawn first; every G and G - e has n <= 12, so their
+    one shared_spectrum call solves those not yet in `spectra` as one stack.
     """
     trials = check_integer(trials, "trials")
     if trials < 1:
@@ -266,12 +266,12 @@ def lemma_suite(trials: int, seed: int, spectra: dict) -> spectral.SuiteResult:
 def bounds_suite(spectra: dict) -> spectral.SuiteResult:
     """energy <= e0 over the regular corpus, with equality exactly for K_n:
     Paley graphs with p <= 200, rings of cliques with q <= 12, K_1..K_50
-    and C_3..C_50, 129 graphs in all. Each distinct graph is solved once per
-    `spectra` dict (see spectral.shared_spectrum)."""
+    and C_3..C_50, 129 graphs in all, solved in one shared_spectrum call on `spectra`."""
     result = spectral.SuiteResult("bounds")
-    for label, g in family_corpus(200, 12, range(1, 51), range(3, 51)):
+    cases = list(family_corpus(200, 12, range(1, 51), range(3, 51)))
+    for (label, g), vals in zip(cases, spectral.shared_spectrum(spectra, [g for _, g in cases])):
         k = g.regularity()
-        en = spectral.spectrum_energy(spectral.shared_spectrum(spectra, g))
+        en = spectral.spectrum_energy(vals)
         bound = e0(g.n, k)
         within = en <= bound + tol.BOUND_SLACK
         equality = abs(en - bound) <= tol.BOUND_SLACK

@@ -13,19 +13,16 @@ def family_spectra():
 @pytest.fixture(scope="session")
 def paley_spectra_200(family_spectra):
     """Eigensolver spectra for every valid Paley prime up to 200."""
-    return {
-        p: spectral.shared_spectrum(family_spectra, graphcore.paley(p))
-        for p in graphcore.paley_primes(5, 200)
-    }
+    primes = graphcore.paley_primes(5, 200)
+    graphs = [graphcore.paley(p) for p in primes]
+    return dict(zip(primes, spectral.shared_spectrum(family_spectra, graphs)))
 
 
 @pytest.fixture(scope="session")
 def ring_spectra_12(family_spectra):
     """Eigensolver spectra for the ring of cliques, q = 3..12."""
-    return {
-        q: spectral.shared_spectrum(family_spectra, graphcore.ring_of_cliques(q))
-        for q in range(3, 13)
-    }
+    graphs = [graphcore.ring_of_cliques(q) for q in range(3, 13)]
+    return dict(zip(range(3, 13), spectral.shared_spectrum(family_spectra, graphs)))
 
 
 @pytest.fixture(scope="session")

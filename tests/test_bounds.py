@@ -446,6 +446,31 @@ def test_suites_on_one_dict_solve_each_family_graph_once(solve_counter):
     assert not any(vals.flags.writeable for vals in spectra.values())
 
 
+SUITES = {
+    "lemma": lambda spectra: lemma_suite(trials=20, seed=1, spectra=spectra),
+    "trace": lambda spectra: spectral.trace_suite(trials=20, seed=1, spectra=spectra),
+    "closed-forms": spectral.closed_forms_suite,
+    "bounds": bounds_suite,
+}
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_each_suite_asks_for_all_its_spectra_in_one_call(name, monkeypatch, solve_counter):
+    calls = []
+    real = spectral.shared_spectrum
+
+    def counting(spectra, graphs):
+        calls.append(real(spectra, graphs))
+        return calls[-1]
+
+    monkeypatch.setattr(spectral, "shared_spectrum", counting)
+    result = SUITES[name]({})
+    assert result.ok
+    # one call, holding a spectrum for each case (lemma: G and G - e per trial)
+    assert len(calls) == 1
+    assert len(calls[0]) == result.total * (2 if name == "lemma" else 1)
+
+
 def test_suites_with_a_fresh_dict_solve_every_graph(solve_counter):
     assert spectral.closed_forms_suite({}).ok
     assert len(solve_counter) == 31

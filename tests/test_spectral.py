@@ -23,7 +23,6 @@ from graphenergy.graphcore import (
     permute,
     random_graph,
     ring_of_cliques,
-    splitmix64,
 )
 from graphenergy.spectral import (
     ConvergenceError,
@@ -32,7 +31,6 @@ from graphenergy.spectral import (
     energy,
     jacobi_eigenvalues,
     paley_spectrum_closed,
-    random_graphs,
     ring_clique_spectrum_closed,
     shared_spectrum,
     trace_suite,
@@ -143,6 +141,24 @@ def test_jacobi_scales_extreme_entries(s):
     assert vals.tolist() == pytest.approx([s, -s], rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize(
+    "matrix", [[[1e308, 1e308], [1e308, 1e308]], [[1.7e308, 1e308], [1e308, 0.0]]]
+)
+def test_jacobi_refuses_a_spectrum_beyond_float64(matrix):
+    # finite entries, but an eigenvalue (2e308, 2.16e308) that float64 cannot hold
+    with pytest.raises(ValueError, match="spectrum exceeds the float64 range"):
+        jacobi_eigenvalues(matrix)
+    stack = np.zeros((2, 2, 2))
+    stack[1] = matrix
+    with pytest.raises(ValueError, match="spectrum exceeds the float64 range"):
+        jacobi_eigenvalues(stack, [1, 2])
+
+
+def test_jacobi_keeps_a_spectrum_at_the_edge_of_float64():
+    vals = jacobi_eigenvalues([[1e308, 1e308], [1e308, -1e308]])
+    assert vals.tolist() == pytest.approx([math.sqrt(2) * 1e308, -math.sqrt(2) * 1e308])
+
+
 @pytest.mark.parametrize("shift", [500, -500])
 def test_jacobi_matches_lapack_after_power_of_two_scaling(shift):
     a = np.random.default_rng(7).standard_normal((12, 12))
@@ -226,11 +242,12 @@ def test_lemma_suite_stack_gives_each_matrix_its_lone_spectrum(solver_calls):
 def test_trace_suite_stack_gives_each_random_graph_its_lone_spectrum(solver_calls):
     spectra = {}
     assert trace_suite(trials=100, seed=1, spectra=spectra).ok
-    # the 82 distinct random graphs in one stack; the family graphs alone
+    # one stack: the 82 distinct random graphs and the 5 family graphs with
+    # n <= 12 that none of them equals; the 19 larger family graphs alone
     stacks = [sizes for sizes in solver_calls if sizes is not None]
-    assert len(stacks) == 1 and len(stacks[0]) == 82
-    randoms = {g.adjacency.tobytes() for _, g in random_graphs(100, splitmix64(1), 1, 0)}
-    _assert_stack_matches_lone_solves({key: spectra[key] for key in randoms})
+    assert len(stacks) == 1 and len(stacks[0]) == 82 + 5 and max(stacks[0]) <= 12
+    assert solver_calls.count(None) == 19
+    _assert_stack_matches_lone_solves({k: v for k, v in spectra.items() if len(k) <= 12 * 12})
 
 
 @given(
@@ -330,22 +347,42 @@ def test_the_last_live_matrix_of_a_stack_runs_the_scalar_loop(sweep_calls):
 
 
 def test_eigenvalues_of_a_list_of_graphs_is_one_stack(solve_counter):
-    graphs = [complete(3), cycle(5), paley(13)]
+    graphs = [complete(3), cycle(5), ring_of_cliques(3)]
     vals = eigenvalues(graphs)
-    assert solve_counter == [3, 5, 13]
+    assert solve_counter == [3, 5, 9]
     assert [v.tolist() for v in vals] == [eigenvalues(g).tolist() for g in graphs]
+
+
+def test_eigenvalues_stacks_the_small_graphs_and_solves_each_larger_one_alone(solver_calls):
+    graphs = [cycle(5), paley(13), complete(3)]
+    vals = eigenvalues(graphs)
+    assert solver_calls == [[5, 3], None]
+    for v, g in zip(vals, graphs):
+        assert v.tobytes() == jacobi_eigenvalues(g.adjacency).tobytes()
+    # one Graph is a list of one: a stack of one below the cutoff, a lone solve above
+    assert eigenvalues(cycle(5)).tobytes() == vals[0].tobytes()
+    assert eigenvalues(paley(13)).tobytes() == vals[1].tobytes()
+    assert solver_calls[2:] == [[5], None]
+
+
+def test_eigenvalues_never_stacks_family_graphs_above_the_cutoff(sweep_calls):
+    graphs = [paley(101), paley(97)]
+    vals = eigenvalues(graphs)
+    assert "stack" not in sweep_calls
+    for v, g in zip(vals, graphs):
+        assert v.tobytes() == jacobi_eigenvalues(g.adjacency).tobytes()
 
 
 def test_shared_spectrum_of_a_list_solves_the_new_matrices_as_one_stack(solver_calls):
     spectra = {}
-    k3 = shared_spectrum(spectra, complete(3))
+    (k3,) = shared_spectrum(spectra, [complete(3)])
     got = shared_spectrum(spectra, [cycle(3), cycle(4), paley(5), cycle(4), cycle(5)])
-    assert solver_calls == [None, [4, 5]]
+    assert solver_calls == [[3], [4, 5]]
     assert got[0] is k3 and got[1] is got[3] and got[2] is got[4]
     assert not any(vals.flags.writeable for vals in got)
-    assert shared_spectrum(spectra, [cycle(4)])[0] is got[1]
+    assert shared_spectrum(spectra, iter([cycle(4)]))[0] is got[1]
     assert shared_spectrum(spectra, []) == []
-    assert solver_calls == [None, [4, 5]]
+    assert solver_calls == [[3], [4, 5]]
 
 
 def test_eigenvalues_sorted_descending():
@@ -529,8 +566,8 @@ def test_trace_suite_refuses_negative_or_non_integral_trials():
 
 def test_shared_spectrum_solves_a_matrix_once_and_stores_it_read_only(solve_counter):
     spectra = {}
-    first = shared_spectrum(spectra, paley(13))
-    assert shared_spectrum(spectra, paley(13)) is first
+    (first,) = shared_spectrum(spectra, [paley(13)])
+    assert shared_spectrum(spectra, [paley(13)])[0] is first
     assert solve_counter == [13]
     assert list(spectra) == [paley(13).adjacency.tobytes()]
     assert not first.flags.writeable
@@ -541,19 +578,19 @@ def test_shared_spectrum_solves_a_matrix_once_and_stores_it_read_only(solve_coun
 
 def test_shared_spectrum_solves_equal_graphs_built_under_two_names_once(solve_counter):
     spectra = {}
-    k3 = shared_spectrum(spectra, complete(3))
-    assert shared_spectrum(spectra, cycle(3)) is k3
+    (k3,) = shared_spectrum(spectra, [complete(3)])
+    assert shared_spectrum(spectra, [cycle(3)])[0] is k3
     assert solve_counter == [3]
-    c5 = shared_spectrum(spectra, paley(5))
-    assert shared_spectrum(spectra, cycle(5)) is c5
+    (c5,) = shared_spectrum(spectra, [paley(5)])
+    assert shared_spectrum(spectra, [cycle(5)])[0] is c5
     assert solve_counter == [3, 5]
-    shared_spectrum(spectra, paley(13))
-    shared_spectrum(spectra, ring_of_cliques(3))
+    shared_spectrum(spectra, [paley(13)])
+    shared_spectrum(spectra, [ring_of_cliques(3)])
     assert solve_counter == [3, 5, 13, 9]
     # same n and m, different matrices
     two_triangles = from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert shared_spectrum(spectra, cycle(6))[1] == pytest.approx(1.0)
-    assert shared_spectrum(spectra, two_triangles)[1] == pytest.approx(2.0)
+    c6, triangles = shared_spectrum(spectra, [cycle(6), two_triangles])
+    assert (c6[1], triangles[1]) == pytest.approx((1.0, 2.0))
     assert solve_counter == [3, 5, 13, 9, 6, 6]
     assert len(spectra) == 6
     assert not any(vals.flags.writeable for vals in spectra.values())
