@@ -40,10 +40,13 @@ PRIMES = primes_between(2, _ROOT, np.arange(2, math.isqrt(_ROOT) + 1))
 
 def is_prime(u: int) -> bool:
     """Exact primality test for integers in [0, 2**31): trial division by
-    the primes of PRIMES up to isqrt(u)."""
+    the primes of PRIMES up to isqrt(u), after an early exit for the
+    integers that 2, 3 or 5 divides (11 of every 15)."""
     u = check_integer(u, "primality input")
     if u < 0 or u >= FIELD_MODULUS_CAP:
         raise ValueError(f"primality input must be in [0, 2**31), got {u}")
+    if math.gcd(u, 30) != 1:
+        return u in (2, 3, 5)
     divisors = PRIMES[: PRIMES.searchsorted(math.isqrt(u), side="right")]
     return u >= 2 and np.count_nonzero(u % divisors) == divisors.size
 

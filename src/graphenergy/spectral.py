@@ -74,17 +74,16 @@ def _rotation(app, aqq, apq, sqrt):
     return t, s, s / (1.0 + c)
 
 
-def _rotate(row_p, row_q, s, half):
-    """Rows p and q after the rotation, in the correction form x - s*(y + half*x)
-    rather than the direct c*x - s*y: for tiny angles c rounds to 1.0 and the
-    direct form stops contracting the off-diagonal mass."""
-    return row_p - s * (row_q + half * row_p), row_q + s * (row_p - half * row_q)
-
-
 def _jacobi_sweep(a: np.ndarray, skip: float) -> None:
     """One cyclic sweep of rotations over matrix a, in place; entries with
-    |a_pq| < skip are left alone."""
+    |a_pq| < skip are left alone. Each rotation updates rows p and q as one
+    2 x n block, blk - S @ blk with one BLAS product, and writes it back to
+    rows p, q and, since a stays exactly symmetric, to columns p, q. BLAS
+    may fuse multiply-adds, so the last ulp can depend on the BLAS build."""
     n = a.shape[0]
+    rot = np.empty((2, 2))
+    new = np.empty((2, n))
+    new_p, new_q = new
     for p in range(n - 1):
         for q in range(p + 1, n):
             apq = a.item(p, q)
@@ -92,21 +91,27 @@ def _jacobi_sweep(a: np.ndarray, skip: float) -> None:
                 continue
             app, aqq = a.item(p, p), a.item(q, q)
             t, s, half = _rotation(app, aqq, apq, math.sqrt)
-            # views of rows p, q: a stays exactly symmetric, so they equal the columns
-            new_p, new_q = _rotate(a[p], a[q], s, half)
+            blk = a[p : q + 1 : q - p]  # rows p and q, a view
+            # the correction form blk - S @ blk, not the direct (I - S) @ blk:
+            # for tiny angles c rounds to 1.0 and the direct form stops
+            # contracting the off-diagonal mass
+            rot[0, 0] = rot[1, 1] = s * half
+            rot[0, 1] = s
+            rot[1, 0] = -s
+            np.matmul(rot, blk, out=new)
+            np.subtract(blk, new, out=new)
+            new[0, p] = app - t * apq
+            new[1, q] = aqq + t * apq
+            new[0, q] = new[1, p] = 0.0
+            blk[...] = new
             a[:, p] = new_p
-            a[p, :] = new_p
             a[:, q] = new_q
-            a[q, :] = new_q
-            a[p, p] = app - t * apq
-            a[q, q] = aqq + t * apq
-            a[p, q] = 0.0
-            a[q, p] = 0.0
 
 
 def _stack_sweep(a: np.ndarray, live: np.ndarray, skip: np.ndarray) -> None:
     """_jacobi_sweep on each matrix a[i], i in `live`, with its own skip: each
-    pair (p, q) rotates at once every live matrix whose |a_pq| >= skip."""
+    pair (p, q) rotates at once every live matrix whose |a_pq| >= skip. The
+    batched product runs one 2 x 2 by 2 x N gemm per matrix, as a lone solve does."""
     n = a.shape[1]
     for p in range(n - 1):
         for q in range(p + 1, n):
@@ -117,15 +122,19 @@ def _stack_sweep(a: np.ndarray, live: np.ndarray, skip: np.ndarray) -> None:
             idx, apq = live[hit], apq[hit]
             app, aqq = a[idx, p, p], a[idx, q, q]
             t, s, half = _rotation(app, aqq, apq, np.sqrt)
-            new_p, new_q = _rotate(a[idx, p], a[idx, q], s[:, None], half[:, None])
-            a[idx, :, p] = new_p
-            a[idx, p] = new_p
-            a[idx, :, q] = new_q
-            a[idx, q] = new_q
-            a[idx, p, p] = app - t * apq
-            a[idx, q, q] = aqq + t * apq
-            a[idx, p, q] = 0.0
-            a[idx, q, p] = 0.0
+            pq = slice(p, q + 1, q - p)
+            blk = a[idx, pq]
+            rot = np.empty((idx.size, 2, 2))
+            rot[:, 0, 0] = rot[:, 1, 1] = s * half
+            rot[:, 0, 1] = s
+            rot[:, 1, 0] = -s
+            new = blk - rot @ blk
+            new[:, 0, p] = app - t * apq
+            new[:, 1, q] = aqq + t * apq
+            new[:, 0, q] = new[:, 1, p] = 0.0
+            a[idx, pq] = new
+            a[idx, :, p] = new[:, 0]
+            a[idx, :, q] = new[:, 1]
 
 
 def jacobi_eigenvalues(matrix, sizes=None):
@@ -151,8 +160,8 @@ def jacobi_eigenvalues(matrix, sizes=None):
 
     A stack runs every matrix's own scaling, thresholds and convergence
     test, one pair (p, q) at a time across the stack, so each spectrum is
-    bit for bit the one the matrix gets alone. Entries outside a matrix's
-    block must be zero.
+    bit for bit the one the matrix gets alone with the same BLAS. Entries
+    outside a matrix's block must be zero.
     """
     a = np.asarray(matrix)
     if a.dtype == object:

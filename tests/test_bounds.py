@@ -493,6 +493,29 @@ def test_lemma_suite_builds_each_reduced_graph_once(monkeypatch):
     assert len(calls) == 25
 
 
+def test_lemma_suite_solves_one_stack_per_chunk_with_the_same_results(monkeypatch, solver_calls):
+    real = bounds.edge_deletion_check
+
+    def failing(whole, reduced):
+        return dataclasses.replace(real(whole, reduced), holds=False)
+
+    # every trial fails, so each case line, trial number included, is compared
+    monkeypatch.setattr(bounds, "edge_deletion_check", failing)
+    whole = {}
+    one_chunk = lemma_suite(trials=200, seed=1, spectra=whole)
+    assert len(solver_calls) == 1
+    solver_calls.clear()
+    monkeypatch.setattr(bounds, "_LEMMA_CHUNK", 64)
+    chunked = {}
+    result = lemma_suite(trials=200, seed=1, spectra=chunked)
+    # trials 0-63, 64-127, 128-191 and 192-199: one stack each, of new matrices only
+    assert len(solver_calls) == 4 and all(max(sizes) <= 12 for sizes in solver_calls)
+    assert sum(map(len, solver_calls)) == len(chunked) == len(whole) == 314
+    assert result.failures == one_chunk.failures and len(result.failures) == 200
+    assert list(chunked) == list(whole)
+    assert all(chunked[key].tobytes() == vals.tobytes() for key, vals in whole.items())
+
+
 def test_lemma_suite_rejects_bad_trials():
     with pytest.raises(ValueError):
         lemma_suite(trials=0, seed=0, spectra={})

@@ -329,7 +329,7 @@ def test_verify_reports_failures_with_inputs(capsys, monkeypatch):
         "  FAIL trial 0: random_graph(n=3, m=1, seed=487617019471545679), edge=(1, 2), "
         "lhs=2.0, rhs=2.0\n"
         "  FAIL trial 1: random_graph(n=9, m=31, seed=3207296026000306913), edge=(0, 4), "
-        "lhs=15.920074334524337, rhs=18.055251741299006\n"
+        "lhs=15.920074334524337, rhs=18.055251741299003\n"
     )
 
 

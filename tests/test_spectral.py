@@ -317,14 +317,18 @@ def test_jacobi_stack_names_the_matrix_that_hits_the_sweep_cap(monkeypatch):
 
 @pytest.fixture
 def sweep_calls(monkeypatch):
-    """Count the solver's sweeps by loop: "stack" or "scalar" per call."""
+    """Count the solver's sweeps by loop: "stack" or "scalar" per call, and
+    check that each sweep leaves the working matrix exactly symmetric."""
     calls = []
     for name, loop in (("_stack_sweep", "stack"), ("_jacobi_sweep", "scalar")):
         real = getattr(spectral, name)
 
-        def counting(*args, real=real, loop=loop):
+        def counting(a, *args, real=real, loop=loop):
             calls.append(loop)
-            return real(*args)
+            real(a, *args)
+            # each rotation writes its 2 x n block back to the rows and the
+            # columns, which is right only while a equals its transpose
+            assert np.array_equal(a, np.swapaxes(a, -1, -2)), loop
 
         monkeypatch.setattr(spectral, name, counting)
     return calls
@@ -344,6 +348,16 @@ def test_the_last_live_matrix_of_a_stack_runs_the_scalar_loop(sweep_calls):
     assert sweep_calls[:1] == ["stack"] and set(sweep_calls[1:]) == {"scalar"}
     for v, g in zip(vals, graphs):
         assert v.tobytes() == eigenvalues(g).tobytes()
+
+
+def test_every_sweep_leaves_the_working_matrix_exactly_symmetric(sweep_calls):
+    # sweep_calls checks the matrix after each sweep of either loop
+    eigenvalues(paley(13))
+    eigenvalues(cycle(12))
+    assert set(sweep_calls) == {"scalar"}
+    sweep_calls.clear()
+    eigenvalues([complete(2), cycle(12), paley(5), ring_of_cliques(3), cycle(7)])
+    assert sweep_calls[0] == "stack" and "scalar" in sweep_calls
 
 
 def test_eigenvalues_of_a_list_of_graphs_is_one_stack(solve_counter):
