@@ -7,7 +7,6 @@ ratio sweep tables, and the randomized/corpus verification suites.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -238,36 +237,29 @@ def ratio_table(family: str, params, use_closed_form: bool = False) -> list[Rati
 # verification suites
 
 
-# Lemma trials drawn, solved and checked at a time, so that the suite holds
-# one chunk's graphs and stack at a time; 1000 trials are still one stack.
-_LEMMA_CHUNK = 2048
-
-
-def lemma_suite(trials: int, seed: int, spectra: dict) -> spectral.SuiteResult:
+def lemma_suite(trials: int, seed: int) -> spectral.SuiteResult:
     """Edge-deletion inequality on seeded random graphs (2 <= n <= 12, m >= 1).
 
     Each trial draws a graph and one random edge e, and checks both
     E(G) <= E(G - e) + 2 and l1(G - e) <= l1(G) with edge_deletion_check.
-    Trials are drawn _LEMMA_CHUNK at a time; every G and G - e has n <= 12,
-    so each chunk's one shared_spectrum call solves those not yet in
-    `spectra` as one stack.
+    Trials come in the chunks of spectral.random_graphs; every G and G - e
+    has n <= 12, so each chunk's one shared_spectrum call, on a fresh dict,
+    solves its distinct matrices as one stack. No spectrum outlives its chunk.
     """
     trials = check_integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     result = spectral.SuiteResult("lemma")
     stream = splitmix64(seed)
-    randoms = spectral.random_graphs(trials, stream, 2, 1)
-    for start in range(0, trials, _LEMMA_CHUNK):
+    for chunk in spectral.random_graphs(trials, stream, 2, 1):
         # each edge index is drawn between two lazy yields: the stream's order holds
-        chunk = itertools.islice(randoms, _LEMMA_CHUNK)
         draws = [(label, g, g.edges()[next(stream) % g.m]) for label, g in chunk]
-        # draw i's G and G - e are at 2i and 2i + 1
         graphs = [h for _, g, e in draws for h in (g, delete_edge(g, e))]
-        vals = spectral.shared_spectrum(spectra, graphs)
-        for i, (label, _, e) in enumerate(draws):
-            check = edge_deletion_check(vals[2 * i], vals[2 * i + 1])
-            case = f"trial {start + i}: {label}, edge={e}, lhs={check.lhs!r}, rhs={check.rhs!r}"
+        vals = spectral.shared_spectrum({}, graphs)
+        for (label, _, e), whole, reduced in zip(draws, vals[::2], vals[1::2]):
+            check = edge_deletion_check(whole, reduced)
+            # one check per trial so far: result.total is this trial's number
+            case = f"trial {result.total}: {label}, edge={e}, lhs={check.lhs!r}, rhs={check.rhs!r}"
             result.check(check.holds, case)
     return result
 

@@ -9,6 +9,7 @@ the invariant-checking suites live here too.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 
@@ -304,8 +305,12 @@ def ring_clique_spectrum_closed(q: int) -> np.ndarray:
     once per r, and 2cos(2 pi r / q) - 1 with multiplicity q - 1 per r.
     The identification is validated against the eigensolver by
     closed_forms_suite and the test suite before anything relies on it.
+    q above tolerances.MAX_DENSE_N is refused before anything is allocated:
+    its q^2 values would outnumber the entries of the largest dense matrix.
     """
     q = check_ring_parameter(q)
+    if q > tol.MAX_DENSE_N:
+        raise ValueError(f"closed-form ring spectrum needs q <= {tol.MAX_DENSE_N}, got {q}")
     ring = 2.0 * np.cos(2.0 * np.pi * np.arange(q) / q)
     vals = np.concatenate([ring + (q - 1.0), np.repeat(ring - 1.0, q - 1)])
     return np.sort(vals)[::-1].copy()
@@ -337,31 +342,47 @@ class SuiteResult:
         return f"SuiteResult({self.name}: {self.passed}/{self.total} pass)"
 
 
+# Random trials drawn, solved and checked at a time, so that a suite holds one
+# chunk's graphs and stack at a time; 1000 lemma trials are still one stack.
+_TRIAL_CHUNK = 2048
+
+
 def random_graphs(trials: int, stream, min_n: int, min_m: int):
     """`trials` labeled random graphs, n in min_n..12 and m in min_m..n(n-1)/2,
-    drawn from `stream` lazily, so a caller may draw from it between yields."""
-    for _ in range(trials):
-        n = min_n + next(stream) % (13 - min_n)
-        m = min_m + next(stream) % (n * (n - 1) // 2 + 1 - min_m)
-        s = next(stream)
-        yield f"random_graph(n={n}, m={m}, seed={s})", random_graph(n, m, s)
+    in lazy chunks of at most _TRIAL_CHUNK. Each graph is drawn from `stream`
+    as it is read, so a caller may draw from it between two graphs; read each
+    chunk to its end before the next."""
+
+    def draw(count):
+        for _ in range(count):
+            n = min_n + next(stream) % (13 - min_n)
+            m = min_m + next(stream) % (n * (n - 1) // 2 + 1 - min_m)
+            s = next(stream)
+            yield f"random_graph(n={n}, m={m}, seed={s})", random_graph(n, m, s)
+
+    for start in range(0, trials, _TRIAL_CHUNK):
+        yield draw(min(_TRIAL_CHUNK, trials - start))
 
 
 def trace_suite(trials: int, seed: int, spectra: dict) -> SuiteResult:
     """Check the two trace identities, sum(l) = 0 and sum(l^2) = 2m, over
-    the 32 family graphs with n <= 100 and `trials` seeded random graphs,
-    all solved in one shared_spectrum call on `spectra`."""
+    the 32 family graphs with n <= 100, solved in one shared_spectrum call
+    on `spectra`, and `trials` seeded random graphs, solved one chunk per
+    call on a fresh dict, so that no random graph is stored in `spectra`."""
     trials = check_integer(trials, "trials")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
+    stream = splitmix64(seed)  # refuses a bad seed before any solve
     result = SuiteResult("trace")
-    randoms = random_graphs(trials, splitmix64(seed), 1, 0)
-    cases = [*family_corpus(97, 10, (1, 2, 3, 5, 10, 25), (3, 4, 5, 10, 25), (1, 4)), *randoms]
-    for (label, g), vals in zip(cases, shared_spectrum(spectra, [g for _, g in cases])):
-        trace = float(vals.sum())
-        sumsq = float((vals * vals).sum())
-        ok = abs(trace) <= tol.TRACE_TOL and abs(sumsq - 2 * g.m) <= tol.TRACE_SQ_TOL
-        result.check(ok, f"{label}: sum(l)={trace:.3e}, sum(l^2)-2m={sumsq - 2 * g.m:.3e}")
+    family = family_corpus(97, 10, (1, 2, 3, 5, 10, 25), (3, 4, 5, 10, 25), (1, 4))
+    randoms = (({}, chunk) for chunk in random_graphs(trials, stream, 1, 0))
+    for store, batch in itertools.chain([(spectra, family)], randoms):
+        cases = list(batch)
+        for (label, g), vals in zip(cases, shared_spectrum(store, [g for _, g in cases])):
+            trace = float(vals.sum())
+            sumsq = float((vals * vals).sum())
+            ok = abs(trace) <= tol.TRACE_TOL and abs(sumsq - 2 * g.m) <= tol.TRACE_SQ_TOL
+            result.check(ok, f"{label}: sum(l)={trace:.3e}, sum(l^2)-2m={sumsq - 2 * g.m:.3e}")
     return result
 
 

@@ -61,3 +61,18 @@ def solver_calls(monkeypatch):
 
     monkeypatch.setattr("graphenergy.spectral.jacobi_eigenvalues", recording)
     return calls
+
+
+@pytest.fixture
+def stores(monkeypatch):
+    """Record each dict handed to spectral.shared_spectrum, in order of first use."""
+    seen = []
+    real = spectral.shared_spectrum
+
+    def recording(spectra, graphs):
+        if not any(spectra is s for s in seen):
+            seen.append(spectra)
+        return real(spectra, graphs)
+
+    monkeypatch.setattr(spectral, "shared_spectrum", recording)
+    return seen

@@ -414,7 +414,7 @@ def test_ring_entry_points_share_one_message():
 
 
 def test_lemma_suite_passes():
-    result = lemma_suite(trials=30, seed=42, spectra={})
+    result = lemma_suite(trials=30, seed=42)
     assert result.ok
     assert result.passed == result.total == 30
 
@@ -428,10 +428,9 @@ def test_lemma_suite_solves_each_distinct_matrix_once(monkeypatch):
         return real(matrix, sizes)
 
     monkeypatch.setattr("graphenergy.spectral.jacobi_eigenvalues", counting_solve)
-    spectra = {}
     # 25 graphs G and 25 graphs G - e hold 44 distinct matrices
-    assert lemma_suite(trials=25, seed=3, spectra=spectra).ok
-    assert len(calls) == len(spectra) == 44
+    assert lemma_suite(trials=25, seed=3).ok
+    assert len(calls) == 44
 
 
 def test_suites_on_one_dict_solve_each_family_graph_once(solve_counter):
@@ -447,11 +446,15 @@ def test_suites_on_one_dict_solve_each_family_graph_once(solve_counter):
 
 
 SUITES = {
-    "lemma": lambda spectra: lemma_suite(trials=20, seed=1, spectra=spectra),
+    "lemma": lambda spectra: lemma_suite(trials=20, seed=1),
     "trace": lambda spectra: spectral.trace_suite(trials=20, seed=1, spectra=spectra),
     "closed-forms": spectral.closed_forms_suite,
     "bounds": bounds_suite,
 }
+# graphs per shared_spectrum call: the family corpus on the suite's dict, and
+# each chunk of random trials on a fresh one (lemma: G and G - e per trial)
+FAMILY_CALLS = {"lemma": [], "trace": [32], "closed-forms": [31], "bounds": [129]}
+RANDOM_CALLS = {"lemma": [40], "trace": [20], "closed-forms": [], "bounds": []}
 
 
 @pytest.mark.parametrize("name", SUITES)
@@ -460,15 +463,15 @@ def test_each_suite_asks_for_all_its_spectra_in_one_call(name, monkeypatch, solv
     real = spectral.shared_spectrum
 
     def counting(spectra, graphs):
-        calls.append(real(spectra, graphs))
-        return calls[-1]
+        calls.append((spectra, real(spectra, graphs)))
+        return calls[-1][1]
 
     monkeypatch.setattr(spectral, "shared_spectrum", counting)
-    result = SUITES[name]({})
+    store = {}
+    result = SUITES[name](store)
     assert result.ok
-    # one call, holding a spectrum for each case (lemma: G and G - e per trial)
-    assert len(calls) == 1
-    assert len(calls[0]) == result.total * (2 if name == "lemma" else 1)
+    assert [len(vals) for spectra, vals in calls if spectra is store] == FAMILY_CALLS[name]
+    assert [len(vals) for spectra, vals in calls if spectra is not store] == RANDOM_CALLS[name]
 
 
 def test_suites_with_a_fresh_dict_solve_every_graph(solve_counter):
@@ -476,9 +479,10 @@ def test_suites_with_a_fresh_dict_solve_every_graph(solve_counter):
     assert len(solve_counter) == 31
     assert bounds_suite({}).ok
     assert len(solve_counter) == 31 + 127
-    # 29 distinct family graphs (K_1 = empty(1) too) and 3 new random ones
+    # 29 distinct family graphs (K_1 = empty(1) too), then the 5 random ones
+    # on a dict of their own
     assert spectral.trace_suite(trials=5, seed=2, spectra={}).ok
-    assert len(solve_counter) == 31 + 127 + 29 + 3
+    assert len(solve_counter) == 31 + 127 + 29 + 5
 
 
 def test_lemma_suite_builds_each_reduced_graph_once(monkeypatch):
@@ -489,7 +493,7 @@ def test_lemma_suite_builds_each_reduced_graph_once(monkeypatch):
         return delete_edge(g, e)
 
     monkeypatch.setattr("graphenergy.bounds.delete_edge", counting_delete_edge)
-    assert lemma_suite(trials=25, seed=3, spectra={}).ok
+    assert lemma_suite(trials=25, seed=3).ok
     assert len(calls) == 25
 
 
@@ -501,34 +505,32 @@ def test_lemma_suite_solves_one_stack_per_chunk_with_the_same_results(monkeypatc
 
     # every trial fails, so each case line, trial number included, is compared
     monkeypatch.setattr(bounds, "edge_deletion_check", failing)
-    whole = {}
-    one_chunk = lemma_suite(trials=200, seed=1, spectra=whole)
-    assert len(solver_calls) == 1
+    one_chunk = lemma_suite(trials=200, seed=1)
+    assert [len(sizes) for sizes in solver_calls] == [314]
     solver_calls.clear()
-    monkeypatch.setattr(bounds, "_LEMMA_CHUNK", 64)
-    chunked = {}
-    result = lemma_suite(trials=200, seed=1, spectra=chunked)
-    # trials 0-63, 64-127, 128-191 and 192-199: one stack each, of new matrices only
-    assert len(solver_calls) == 4 and all(max(sizes) <= 12 for sizes in solver_calls)
-    assert sum(map(len, solver_calls)) == len(chunked) == len(whole) == 314
+    monkeypatch.setattr(spectral, "_TRIAL_CHUNK", 64)
+    result = lemma_suite(trials=200, seed=1)
+    # trials 0-63, 64-127, 128-191 and 192-199: one stack each, of the chunk's
+    # distinct matrices, so a matrix that two chunks share is solved in both
+    assert [len(sizes) for sizes in solver_calls] == [108, 110, 108, 16]
+    assert all(max(sizes) <= 12 for sizes in solver_calls)
+    # each line holds lhs and rhs in full, so equal lines mean equal energies
     assert result.failures == one_chunk.failures and len(result.failures) == 200
-    assert list(chunked) == list(whole)
-    assert all(chunked[key].tobytes() == vals.tobytes() for key, vals in whole.items())
 
 
 def test_lemma_suite_rejects_bad_trials():
     with pytest.raises(ValueError):
-        lemma_suite(trials=0, seed=0, spectra={})
+        lemma_suite(trials=0, seed=0)
 
 
 def test_lemma_suite_reads_trials_as_an_integer():
-    assert lemma_suite(trials=np.int64(3), seed=1, spectra={}).total == 3
-    assert lemma_suite(trials=3.0, seed=1, spectra={}).total == 3
+    assert lemma_suite(trials=np.int64(3), seed=1).total == 3
+    assert lemma_suite(trials=3.0, seed=1).total == 3
     with pytest.raises(ValueError, match="trials must be an integer"):
-        lemma_suite(trials=2.5, seed=0, spectra={})
+        lemma_suite(trials=2.5, seed=0)
 
 
 def test_lemma_suite_is_deterministic():
-    a = lemma_suite(trials=10, seed=7, spectra={})
-    b = lemma_suite(trials=10, seed=7, spectra={})
+    a = lemma_suite(trials=10, seed=7)
+    b = lemma_suite(trials=10, seed=7)
     assert a.passed == b.passed and a.failures == b.failures

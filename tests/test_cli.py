@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphenergy import cli, spectral
-from graphenergy.graphcore import from_edge_list, write_edge_list
+from graphenergy.graphcore import family_corpus, from_edge_list, write_edge_list
 
 
 def run(capsys, *argv):
@@ -182,6 +182,15 @@ def test_ratio_table_ring_numeric_refuses_a_wide_range_in_small_memory(capsys):
     assert peak < 2 * 2**20
 
 
+def test_ratio_table_closed_refuses_a_ring_above_the_dense_limit(capsys):
+    code, out, err = run(capsys, "ratio-table", "ring-clique", "100000..100000", "--mode", "closed")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: invalid ring_of_cliques parameter 100000: "
+        "closed-form ring spectrum needs q <= 4096, got 100000\n"
+    )
+
+
 def test_ratio_table_empty_range_fails(capsys):
     code, _, err = run(capsys, "ratio-table", "paley", "14..16")
     assert code == 1 and "no valid" in err
@@ -270,13 +279,25 @@ def test_verify_closed_forms(capsys):
     assert "closed-forms: 31/31 pass" in out
 
 
-def test_verify_all_solves_each_family_graph_once(capsys, solve_counter):
+def test_verify_all_solves_each_family_graph_once(capsys, solve_counter, stores):
     # lemma solves the 168 distinct graphs among its 100 G and 100 G - e;
-    # trace the 98 of its 32 + 100 that lemma did not; then closed-forms the
-    # 12 family graphs trace did not, and bounds the 83 that none did.
+    # trace its 29 distinct family graphs and its 81 distinct random ones;
+    # then closed-forms the 12 family graphs trace did not, and bounds the 87
+    # that neither did.
     code, out, _ = run(capsys, "verify", "all", "--trials", "100", "--seed", "0")
     assert code == 0, out
-    assert len(solve_counter) == 168 + 98 + 12 + 83 == 361
+    assert len(solve_counter) == 168 + 29 + 81 + 12 + 87 == 377
+    # the 105 graphs with n > 12, all family graphs, are solved alone, once each
+    assert sum(n > 12 for n in solve_counter) == 105
+    # the run's store keeps the family corpus alone: random trials are solved a
+    # chunk at a time, each chunk on a dict of its own
+    lemma_chunk, family, trace_chunk = stores
+    corpus = [
+        *family_corpus(97, 10, (1, 2, 3, 5, 10, 25), (3, 4, 5, 10, 25), (1, 4)),
+        *family_corpus(200, 12, range(1, 51), range(3, 51)),
+    ]
+    assert set(family) == {g.adjacency.tobytes() for _, g in corpus}
+    assert (len(lemma_chunk), len(family), len(trace_chunk)) == (168, 128, 81)
 
 
 def test_verify_lemma_solves_its_distinct_matrices_in_one_stack(capsys, solver_calls):

@@ -1,6 +1,7 @@
 """Eigensolver and spectrum utilities against independent oracles."""
 
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -231,23 +232,41 @@ def _assert_stack_matches_lone_solves(spectra):
         assert vals.tobytes() == alone.tobytes(), n
 
 
-def test_lemma_suite_stack_gives_each_matrix_its_lone_spectrum(solver_calls):
-    spectra = {}
-    assert lemma_suite(trials=200, seed=1, spectra=spectra).ok
-    # one call: a stack of the 314 distinct G and G - e
+def test_lemma_suite_stack_gives_each_matrix_its_lone_spectrum(solver_calls, stores):
+    assert lemma_suite(trials=200, seed=1).ok
+    # one call on one fresh dict: a stack of the 314 distinct G and G - e
+    (spectra,) = stores
     assert len(solver_calls) == 1 and len(solver_calls[0]) == len(spectra) == 314
     _assert_stack_matches_lone_solves(spectra)
 
 
-def test_trace_suite_stack_gives_each_random_graph_its_lone_spectrum(solver_calls):
+def test_trace_suite_stack_gives_each_random_graph_its_lone_spectrum(solver_calls, stores):
     spectra = {}
     assert trace_suite(trials=100, seed=1, spectra=spectra).ok
-    # one stack: the 82 distinct random graphs and the 5 family graphs with
-    # n <= 12 that none of them equals; the 19 larger family graphs alone
+    # the family corpus on `spectra`: its 10 distinct graphs with n <= 12 in one
+    # stack and the 19 larger ones alone; then the 82 distinct random graphs in
+    # one stack, on a fresh dict
     stacks = [sizes for sizes in solver_calls if sizes is not None]
-    assert len(stacks) == 1 and len(stacks[0]) == 82 + 5 and max(stacks[0]) <= 12
+    assert [len(sizes) for sizes in stacks] == [10, 82] and max(map(max, stacks)) <= 12
     assert solver_calls.count(None) == 19
-    _assert_stack_matches_lone_solves({k: v for k, v in spectra.items() if len(k) <= 12 * 12})
+    family, randoms = stores
+    assert family is spectra and len(family) == 29 and len(randoms) == 82
+    _assert_stack_matches_lone_solves({k: v for k, v in family.items() if len(k) <= 12 * 12})
+    _assert_stack_matches_lone_solves(randoms)
+
+
+def test_trace_suite_over_several_chunks_matches_one_chunk(monkeypatch, solver_calls):
+    # every case fails, so each case line is compared
+    monkeypatch.setattr(tol, "TRACE_TOL", -1.0)
+    one_chunk = trace_suite(trials=200, seed=1, spectra={})
+    assert [len(sizes) for sizes in solver_calls if sizes is not None] == [10, 159]
+    solver_calls.clear()
+    monkeypatch.setattr(spectral, "_TRIAL_CHUNK", 64)
+    result = trace_suite(trials=200, seed=1, spectra={})
+    # the family graphs with n <= 12, then trials 0-63, 64-127, 128-191 and
+    # 192-199: one stack each, of the chunk's distinct random graphs
+    assert [len(sizes) for sizes in solver_calls if sizes is not None] == [10, 57, 57, 53, 8]
+    assert result.failures == one_chunk.failures and len(result.failures) == 32 + 200
 
 
 @given(
@@ -474,6 +493,19 @@ def test_ring_clique_spectrum_closed_3():
     assert abs(vals.sum()) < 1e-12
     assert (vals**2).sum() == pytest.approx(36.0, abs=1e-10)  # 2m for m = 18
     assert np.abs(vals).sum() == pytest.approx(16.0, abs=1e-10)
+
+
+def test_ring_clique_spectrum_closed_refuses_q_above_the_dense_limit_before_allocating():
+    tracemalloc.start()
+    try:
+        for q in (tol.MAX_DENSE_N + 1, 100_000):
+            with pytest.raises(ValueError, match=f"needs q <= 4096, got {q}$"):
+                ring_clique_spectrum_closed(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # q = 4097 alone would take 134 MB of float64 values
+    assert peak < 2**16
 
 
 def test_ring_clique_spectrum_closed_4_top_value():
