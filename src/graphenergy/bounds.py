@@ -240,23 +240,22 @@ def ratio_table(family: str, params, use_closed_form: bool = False) -> list[Rati
 def lemma_suite(trials: int, seed: int) -> spectral.SuiteResult:
     """Edge-deletion inequality on seeded random graphs (2 <= n <= 12, m >= 1).
 
-    Each trial draws a graph and one random edge e, and checks both
-    E(G) <= E(G - e) + 2 and l1(G - e) <= l1(G) with edge_deletion_check.
-    Trials come in the chunks of spectral.random_graphs; every G and G - e
-    has n <= 12, so each chunk's one shared_spectrum call, on a fresh dict,
-    solves its distinct matrices as one stack. No spectrum outlives its chunk.
+    Each trial draws a graph from spectral.random_graphs and then an edge e
+    from the same stream, and checks both E(G) <= E(G - e) + 2 and
+    l1(G - e) <= l1(G) with edge_deletion_check. Every G and G - e has n <= 12,
+    so each spectral.trial_chunks chunk is one stack on a fresh dict.
     """
     trials = check_integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     result = spectral.SuiteResult("lemma")
     stream = splitmix64(seed)
-    for chunk in spectral.random_graphs(trials, stream, 2, 1):
-        # each edge index is drawn between two lazy yields: the stream's order holds
-        draws = [(label, g, g.edges()[next(stream) % g.m]) for label, g in chunk]
-        graphs = [h for _, g, e in draws for h in (g, delete_edge(g, e))]
+    randoms = spectral.random_graphs(trials, stream, 2, 1)
+    draws = ((label, g, g.edges()[next(stream) % g.m]) for label, g in randoms)
+    for chunk in spectral.trial_chunks(draws):
+        graphs = [h for _, g, e in chunk for h in (g, delete_edge(g, e))]
         vals = spectral.shared_spectrum({}, graphs)
-        for (label, _, e), whole, reduced in zip(draws, vals[::2], vals[1::2]):
+        for (label, _, e), whole, reduced in zip(chunk, vals[::2], vals[1::2]):
             check = edge_deletion_check(whole, reduced)
             # one check per trial so far: result.total is this trial's number
             case = f"trial {result.total}: {label}, edge={e}, lhs={check.lhs!r}, rhs={check.rhs!r}"

@@ -284,8 +284,12 @@ def paley_spectrum_closed(p) -> np.ndarray:
     """Closed-form Paley spectrum, sorted descending.
 
     (p-1)/2 once, and (-1 +- sqrt(p))/2 each with multiplicity (p-1)/2.
+    p above tolerances.MAX_DENSE_N**2 is refused before anything is allocated:
+    its p values would outnumber the entries of the largest dense matrix.
     """
     value = check_paley_parameter(p)
+    if value > tol.MAX_DENSE_N**2:
+        raise ValueError(f"closed-form Paley spectrum needs p <= {tol.MAX_DENSE_N**2}, got {value}")
     half = (value - 1) // 2
     root = math.sqrt(value)
     return np.concatenate(
@@ -349,40 +353,41 @@ _TRIAL_CHUNK = 2048
 
 def random_graphs(trials: int, stream, min_n: int, min_m: int):
     """`trials` labeled random graphs, n in min_n..12 and m in min_m..n(n-1)/2,
-    in lazy chunks of at most _TRIAL_CHUNK. Each graph is drawn from `stream`
-    as it is read, so a caller may draw from it between two graphs; read each
-    chunk to its end before the next."""
+    each drawn from `stream` as it is read, so a caller may draw from it between two graphs."""
+    for _ in range(trials):
+        n = min_n + next(stream) % (13 - min_n)
+        m = min_m + next(stream) % (n * (n - 1) // 2 + 1 - min_m)
+        s = next(stream)
+        yield f"random_graph(n={n}, m={m}, seed={s})", random_graph(n, m, s)
 
-    def draw(count):
-        for _ in range(count):
-            n = min_n + next(stream) % (13 - min_n)
-            m = min_m + next(stream) % (n * (n - 1) // 2 + 1 - min_m)
-            s = next(stream)
-            yield f"random_graph(n={n}, m={m}, seed={s})", random_graph(n, m, s)
 
-    for start in range(0, trials, _TRIAL_CHUNK):
-        yield draw(min(_TRIAL_CHUNK, trials - start))
+def trial_chunks(items):
+    """Lists of at most _TRIAL_CHUNK consecutive items of `items`, read lazily."""
+    items = iter(items)
+    while chunk := list(itertools.islice(items, _TRIAL_CHUNK)):
+        yield chunk
 
 
 def trace_suite(trials: int, seed: int, spectra: dict) -> SuiteResult:
-    """Check the two trace identities, sum(l) = 0 and sum(l^2) = 2m, over
-    the 32 family graphs with n <= 100, solved in one shared_spectrum call
-    on `spectra`, and `trials` seeded random graphs, solved one chunk per
-    call on a fresh dict, so that no random graph is stored in `spectra`."""
+    """Check the two trace identities, sum(l) = 0 and sum(l^2) = 2m, over the
+    32 family graphs with n <= 100, solved in one shared_spectrum call on
+    `spectra`, and `trials` random_graphs, one trial_chunks chunk per fresh dict."""
     trials = check_integer(trials, "trials")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     stream = splitmix64(seed)  # refuses a bad seed before any solve
     result = SuiteResult("trace")
-    family = family_corpus(97, 10, (1, 2, 3, 5, 10, 25), (3, 4, 5, 10, 25), (1, 4))
-    randoms = (({}, chunk) for chunk in random_graphs(trials, stream, 1, 0))
-    for store, batch in itertools.chain([(spectra, family)], randoms):
-        cases = list(batch)
+
+    def check(store, cases):
         for (label, g), vals in zip(cases, shared_spectrum(store, [g for _, g in cases])):
             trace = float(vals.sum())
             sumsq = float((vals * vals).sum())
             ok = abs(trace) <= tol.TRACE_TOL and abs(sumsq - 2 * g.m) <= tol.TRACE_SQ_TOL
             result.check(ok, f"{label}: sum(l)={trace:.3e}, sum(l^2)-2m={sumsq - 2 * g.m:.3e}")
+
+    check(spectra, list(family_corpus(97, 10, (1, 2, 3, 5, 10, 25), (3, 4, 5, 10, 25), (1, 4))))
+    for chunk in trial_chunks(random_graphs(trials, stream, 1, 0)):
+        check({}, chunk)
     return result
 
 

@@ -24,6 +24,7 @@ from graphenergy.graphcore import (
     permute,
     random_graph,
     ring_of_cliques,
+    splitmix64,
 )
 from graphenergy.spectral import (
     ConvergenceError,
@@ -269,6 +270,22 @@ def test_trace_suite_over_several_chunks_matches_one_chunk(monkeypatch, solver_c
     assert result.failures == one_chunk.failures and len(result.failures) == 32 + 200
 
 
+def test_trial_chunks_cuts_any_iterable_into_chunks_of_trial_chunk_items():
+    chunks = list(spectral.trial_chunks(range(5000)))
+    assert [len(chunk) for chunk in chunks] == [2048, 2048, 904]
+    assert [x for chunk in chunks for x in chunk] == list(range(5000))
+    # trace with trials=0: no chunk, so no random solve
+    assert list(spectral.trial_chunks(spectral.random_graphs(0, splitmix64(0), 1, 0))) == []
+
+
+@pytest.mark.parametrize("min_n, min_m", [(1, 0), (2, 1)])  # trace's ranges, lemma's
+def test_random_graphs_stay_within_one_stack(min_n, min_m):
+    # the suites solve each chunk as one stack only if every graph fits it
+    graphs = [g for _, g in spectral.random_graphs(3000, splitmix64(1), min_n, min_m)]
+    assert min(g.n for g in graphs) == min_n and min(g.m for g in graphs) == min_m
+    assert max(g.n for g in graphs) <= spectral._STACK_MAX_N
+
+
 @given(
     st.lists(
         st.tuples(symmetric_matrices(), st.sampled_from([-500, -3, 0, 1, 7, 500])),
@@ -508,6 +525,20 @@ def test_ring_clique_spectrum_closed_refuses_q_above_the_dense_limit_before_allo
     assert peak < 2**16
 
 
+def test_paley_spectrum_closed_refuses_p_above_the_dense_limit_before_allocating():
+    tracemalloc.start()
+    try:
+        # the first valid p above 4096**2 and the largest valid p below 2**31
+        for p in (16_777_289, 2_147_483_629):
+            with pytest.raises(ValueError, match=f"needs p <= 16777216, got {p}$"):
+                paley_spectrum_closed(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # p = 2147483629 alone would take 8 GiB of float64 values
+    assert peak < 2**16
+
+
 def test_ring_clique_spectrum_closed_4_top_value():
     vals = ring_clique_spectrum_closed(4)
     assert len(vals) == 16
@@ -584,8 +615,8 @@ def test_interlacing_after_edge_deletion(g, pick):
 # suites and report types
 
 
-def test_trace_suite_passes():
-    result = trace_suite(trials=25, seed=11, spectra={})
+def test_trace_suite_passes(family_spectra):
+    result = trace_suite(trials=25, seed=11, spectra=family_spectra)
     assert result.ok
     assert result.passed == result.total > 25
 
