@@ -172,9 +172,6 @@ class RatioRow:
     paper_bound: float
 
 
-_FAMILY_BUILDERS = {"paley": paley, "ring_of_cliques": ring_of_cliques}
-
-
 # Each closed-form energy call below checks its parameter: int() after it is exact.
 def _paley_row(p) -> RatioRow:
     energy = paley_energy_closed(p)
@@ -199,25 +196,34 @@ def _ring_row(q) -> RatioRow:
     return RatioRow("ring_of_cliques", q, n, k, n * k // 2, energy, bound, ratio, ratio, upper)
 
 
-_ROW_FUNCTIONS = {"paley": _paley_row, "ring_of_cliques": _ring_row}
+_FAMILIES = {"paley": (paley, _paley_row), "ring_of_cliques": (ring_of_cliques, _ring_row)}
 
 
 def ratio_table(family: str, params, use_closed_form: bool = False) -> list[RatioRow]:
     """One RatioRow per parameter, in input order.
 
-    family is "paley" or "ring_of_cliques". Every row is first computed
-    from the closed-form spectrum (cheap, any size), which checks each
-    parameter. Without use_closed_form each row's graph is also checked
-    against tolerances.MAX_DENSE_N as the row is computed, and only once
-    every row is in are the graphs built and eigensolved for the rows'
-    energy and ratio. The first invalid parameter, in input order, aborts
-    the whole table with an error naming it.
+    family is "paley" or "ring_of_cliques", a key of _FAMILIES, which holds
+    its graph builder and its closed-form row function. Every row is first
+    computed in closed form, which checks its parameter; a closed ring table
+    checks every q against the closed spectrum's cap before the first row.
+    Without use_closed_form each row's graph is also checked against
+    tolerances.MAX_DENSE_N as the row is computed, and once every row is
+    in, each graph is built and solved for the row's energy, its ratio being
+    that energy over the row's e0. The first invalid parameter, in input
+    order, aborts the whole table with an error naming it.
     """
-    if family not in _FAMILY_BUILDERS:
-        raise ValueError(f"family must be one of {list(_FAMILY_BUILDERS)}, got {family!r}")
-    row_of = _ROW_FUNCTIONS[family]
+    if family not in _FAMILIES:
+        raise ValueError(f"family must be one of {list(_FAMILIES)}, got {family!r}")
+    build, row_of = _FAMILIES[family]
     rows = []
     try:
+        if use_closed_form and family == "ring_of_cliques":
+            # a row sums q^2 closed values: check every q, reading params once
+            checked = []
+            for param in params:
+                spectral.check_closed_ring_size(param)
+                checked.append(param)
+            params = checked
         for param in params:
             row = row_of(param)
             if not use_closed_form:
@@ -226,10 +232,9 @@ def ratio_table(family: str, params, use_closed_form: bool = False) -> list[Rati
     except ValueError as exc:
         raise ValueError(f"invalid {family} parameter {param}: {exc}") from None
     if not use_closed_form:
-        build = _FAMILY_BUILDERS[family]
         for i, row in enumerate(rows):
-            report = energy_report(build(row.param))
-            rows[i] = replace(row, energy=report.energy, ratio=report.ratio)
+            energy = spectral.energy(build(row.param))
+            rows[i] = replace(row, energy=energy, ratio=energy / row.e0)
     return rows
 
 

@@ -301,6 +301,16 @@ def paley_spectrum_closed(p) -> np.ndarray:
     )
 
 
+def check_closed_ring_size(q) -> int:
+    """q as an int, refusing an invalid ring parameter, then a q above
+    tolerances.MAX_DENSE_N: its closed spectrum's q^2 values would outnumber
+    the entries of the largest dense matrix."""
+    q = check_ring_parameter(q)
+    if q > tol.MAX_DENSE_N:
+        raise ValueError(f"closed-form ring spectrum needs q <= {tol.MAX_DENSE_N}, got {q}")
+    return q
+
+
 def ring_clique_spectrum_closed(q: int) -> np.ndarray:
     """Closed-form ring-of-cliques spectrum, sorted descending.
 
@@ -309,12 +319,10 @@ def ring_clique_spectrum_closed(q: int) -> np.ndarray:
     once per r, and 2cos(2 pi r / q) - 1 with multiplicity q - 1 per r.
     The identification is validated against the eigensolver by
     closed_forms_suite and the test suite before anything relies on it.
-    q above tolerances.MAX_DENSE_N is refused before anything is allocated:
-    its q^2 values would outnumber the entries of the largest dense matrix.
+    q above tolerances.MAX_DENSE_N is refused by check_closed_ring_size
+    before anything is allocated.
     """
-    q = check_ring_parameter(q)
-    if q > tol.MAX_DENSE_N:
-        raise ValueError(f"closed-form ring spectrum needs q <= {tol.MAX_DENSE_N}, got {q}")
+    q = check_closed_ring_size(q)
     ring = 2.0 * np.cos(2.0 * np.pi * np.arange(q) / q)
     vals = np.concatenate([ring + (q - 1.0), np.repeat(ring - 1.0, q - 1)])
     return np.sort(vals)[::-1].copy()

@@ -333,8 +333,11 @@ def test_ratio_table_numeric_checks_every_size_before_the_first_solve(solve_coun
     with pytest.raises(ValueError, match="ring_of_cliques parameter 2: .* q >= 3"):
         ratio_table("ring_of_cliques", [2, 65])
     assert solve_counter == []
-    # closed mode builds no graph, so it has no size limit
+    # closed mode builds no graph, so the dense-size limit does not apply; a
+    # ring row's closed spectrum has q^2 values, so q is capped at MAX_DENSE_N
     assert ratio_table("ring_of_cliques", [65], use_closed_form=True)[0].n == 4225
+    with pytest.raises(ValueError, match="ring_of_cliques parameter 4097: .* q <= 4096"):
+        ratio_table("ring_of_cliques", [tol.MAX_DENSE_N + 1], use_closed_form=True)
 
 
 def test_ratio_table_numeric_stops_at_the_first_oversized_row(solve_counter, monkeypatch):
@@ -350,6 +353,29 @@ def test_ratio_table_numeric_stops_at_the_first_oversized_row(solve_counter, mon
         ratio_table("ring_of_cliques", range(3, 1001))
     assert calls == list(range(3, 66))
     assert solve_counter == []
+
+
+def test_ratio_table_closed_checks_every_ring_before_the_first_row(monkeypatch):
+    calls = []
+    closed = bounds.ring_clique_energy_closed
+
+    def counting_closed(q):
+        calls.append(q)
+        return closed(q)
+
+    monkeypatch.setattr(bounds, "ring_clique_energy_closed", counting_closed)
+    with pytest.raises(ValueError, match="ring_of_cliques parameter 4097: .* q <= 4096, got 4097"):
+        ratio_table("ring_of_cliques", range(3, 5001), use_closed_form=True)
+    assert calls == []
+    # in input order, the ring rule before the cap for each q
+    with pytest.raises(ValueError, match="parameter 2: .* q >= 3"):
+        ratio_table("ring_of_cliques", [2, 5000], use_closed_form=True)
+    with pytest.raises(ValueError, match="parameter 5000: .* q <= 4096"):
+        ratio_table("ring_of_cliques", [5000, 2], use_closed_form=True)
+    assert calls == []
+    # a one-shot iterator is read once: its rows are still computed
+    rows = ratio_table("ring_of_cliques", iter([3, 4]), use_closed_form=True)
+    assert [row.param for row in rows] == calls == [3, 4]
 
 
 def test_paley_ratio_row_checks_its_prime_once(monkeypatch):

@@ -191,6 +191,16 @@ def test_ratio_table_closed_refuses_a_ring_above_the_dense_limit(capsys):
     )
 
 
+def test_ratio_table_closed_refuses_a_ring_range_past_the_limit_before_any_row(capsys):
+    # every q is checked first: without that, q = 3..4096 took minutes to build
+    code, out, err = run(capsys, "ratio-table", "ring-clique", "3..5000", "--mode", "closed")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: invalid ring_of_cliques parameter 4097: "
+        "closed-form ring spectrum needs q <= 4096, got 4097\n"
+    )
+
+
 def test_ratio_table_empty_range_fails(capsys):
     code, _, err = run(capsys, "ratio-table", "paley", "14..16")
     assert code == 1 and "no valid" in err

@@ -259,14 +259,17 @@ def test_trace_suite_stack_gives_each_random_graph_its_lone_spectrum(solver_call
 def test_trace_suite_over_several_chunks_matches_one_chunk(monkeypatch, solver_calls):
     # every case fails, so each case line is compared
     monkeypatch.setattr(tol, "TRACE_TOL", -1.0)
-    one_chunk = trace_suite(trials=200, seed=1, spectra={})
+    spectra = {}
+    one_chunk = trace_suite(trials=200, seed=1, spectra=spectra)
     assert [len(sizes) for sizes in solver_calls if sizes is not None] == [10, 159]
     solver_calls.clear()
     monkeypatch.setattr(spectral, "_TRIAL_CHUNK", 64)
-    result = trace_suite(trials=200, seed=1, spectra={})
-    # the family graphs with n <= 12, then trials 0-63, 64-127, 128-191 and
-    # 192-199: one stack each, of the chunk's distinct random graphs
-    assert [len(sizes) for sizes in solver_calls if sizes is not None] == [10, 57, 57, 53, 8]
+    # the family graphs are in `spectra` already, so only random stacks are solved
+    result = trace_suite(trials=200, seed=1, spectra=spectra)
+    # trials 0-63, 64-127, 128-191 and 192-199: one stack each, of the
+    # chunk's distinct random graphs, and no lone solve
+    assert None not in solver_calls
+    assert [len(sizes) for sizes in solver_calls] == [57, 57, 53, 8]
     assert result.failures == one_chunk.failures and len(result.failures) == 32 + 200
 
 
