@@ -8,7 +8,8 @@ ratio sweep tables, and the randomized/corpus verification suites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import spectral
 from . import tolerances as tol
@@ -156,8 +157,7 @@ def ring_clique_ratio_upper(q: int) -> float:
 # ratio sweeps
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(NamedTuple):
     """One row of a family ratio sweep; the fields are the CSV columns, in order."""
 
     family: str
@@ -234,7 +234,7 @@ def ratio_table(family: str, params, use_closed_form: bool = False) -> list[Rati
     if not use_closed_form:
         for i, row in enumerate(rows):
             energy = spectral.energy(build(row.param))
-            rows[i] = replace(row, energy=energy, ratio=energy / row.e0)
+            rows[i] = row._replace(energy=energy, ratio=energy / row.e0)
     return rows
 
 

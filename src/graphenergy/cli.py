@@ -9,7 +9,6 @@ error or failed verification, 2 eigensolver non-convergence.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import typing
 
@@ -19,12 +18,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
-CSV_HEADER = ",".join(field.name for field in dataclasses.fields(bounds.RatioRow))
+CSV_HEADER = ",".join(bounds.RatioRow._fields)
 # One %-format per CSV row. Every float the CLI prints is "%.12g": 12
 # significant digits, trailing zeros trimmed, stable across runs.
 _ROW_FORMAT = ",".join(
-    "%.12g" if typing.get_type_hints(bounds.RatioRow)[field.name] is float else "%s"
-    for field in dataclasses.fields(bounds.RatioRow)
+    "%.12g" if hint is float else "%s" for hint in typing.get_type_hints(bounds.RatioRow).values()
 )
 
 
@@ -119,7 +117,7 @@ def _cmd_ratio_table(args) -> int:
         raise ValueError(f"no valid {args.family} parameters in {lo}..{hi}")
     rows = bounds.ratio_table(family, params, use_closed_form=(args.mode == "closed"))
     lines = [CSV_HEADER]
-    lines.extend(_ROW_FORMAT % tuple(vars(row).values()) for row in rows)
+    lines.extend(_ROW_FORMAT % row for row in rows)
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

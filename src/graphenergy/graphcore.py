@@ -381,10 +381,8 @@ def format_edge_list(g: Graph) -> str:
     Edges are written in ascending lexicographic order with u < v; the
     output is newline-terminated.
     """
-    rows, cols = np.nonzero(np.triu(g.adjacency))
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(map("%d %d".__mod__, zip(rows.tolist(), cols.tolist())))
-    return "\n".join(lines) + "\n"
+    pairs = np.argwhere(np.triu(g.adjacency))
+    return f"{g.n} {g.m}\n" + ("%d %d\n" * len(pairs)) % tuple(pairs.ravel().tolist())
 
 
 def read_int(token: str, what: str) -> int:

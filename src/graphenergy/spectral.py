@@ -321,11 +321,20 @@ def ring_clique_spectrum_closed(q: int) -> np.ndarray:
     closed_forms_suite and the test suite before anything relies on it.
     q above tolerances.MAX_DENSE_N is refused by check_closed_ring_size
     before anything is allocated.
+
+    Adding a constant keeps the descending ring values in order, so both
+    blocks come out sorted and only the q ring values are sorted. The blocks
+    meet in exact arithmetic at q = 3 and q = 4; where rounding leaves the
+    top block's least value below the bottom block's greatest (q = 3), the
+    q^2 values are sorted whole.
     """
     q = check_closed_ring_size(q)
-    ring = 2.0 * np.cos(2.0 * np.pi * np.arange(q) / q)
-    vals = np.concatenate([ring + (q - 1.0), np.repeat(ring - 1.0, q - 1)])
-    return np.sort(vals)[::-1].copy()
+    ring = np.sort(2.0 * np.cos(2.0 * np.pi * np.arange(q) / q))[::-1]
+    top, bottom = ring + (q - 1.0), ring - 1.0
+    vals = np.concatenate([top, np.repeat(bottom, q - 1)])
+    if top[-1] < bottom[0]:
+        return np.sort(vals)[::-1].copy()
+    return vals
 
 
 class SuiteResult:

@@ -287,7 +287,7 @@ def test_ratio_table_modes_agree_across_families():
         for numeric, closed in zip(ratio_table(family, params), closed_rows, strict=True):
             assert numeric.ratio == pytest.approx(closed.ratio, abs=tol.CLOSED_SPECTRUM_TOL)
             assert numeric.ratio == numeric.energy / numeric.e0
-            assert dataclasses.replace(numeric, energy=closed.energy, ratio=closed.ratio) == closed
+            assert numeric._replace(energy=closed.energy, ratio=closed.ratio) == closed
 
 
 def test_ratio_table_ring_3_closed():

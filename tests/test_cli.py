@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphenergy import cli, spectral
+from graphenergy import bounds, cli, spectral
 from graphenergy.graphcore import family_corpus, from_edge_list, write_edge_list
 
 
@@ -159,6 +159,18 @@ def test_ratio_table_filters_to_valid_primes(capsys):
     assert [line.split(",")[1] for line in lines[1:]] == ["5", "13", "17"]
 
 
+def test_ratio_row_is_an_immutable_tuple_of_the_csv_columns():
+    row = bounds.ratio_table("paley", [13], use_closed_form=True)[0]
+    with pytest.raises(AttributeError):
+        row.energy = 0.0
+    assert bounds.RatioRow._fields == tuple(
+        "family,param,n,k,m,energy,e0,ratio,closed_ratio,paper_bound".split(",")
+    )
+    assert cli._ROW_FORMAT % row == (
+        "paley,13,13,6,39,27.6333076528,28.4499443206,0.971295667272,0.971295667272,0.643210827675"
+    )
+
+
 def test_ratio_table_ring_numeric(capsys):
     code, out, _ = run(capsys, "ratio-table", "ring-clique", "3..4")
     assert code == 0
@@ -255,6 +267,11 @@ GOLDEN_STDOUT = {
         "66da848d2cc1810b8ccaaef01b166e6c988ebaceccd3c08477bc67f98e790ab5",
     ("gen", "paley", "101"):
         "cb5592028a36fabf90c36c6903c2daae552d3980f41b54d03f26c9cdf2d7849f",
+    # the two closed-sweep benchmark outputs that tier-1 can afford to pin
+    ("gen", "paley", "1009"):
+        "709110df9dad8ad6e7dd56c915881fa8e16be15dfbce18704c7d87e0a240e14b",
+    ("ratio-table", "ring-clique", "3..300", "--mode", "closed"):
+        "b09f0c928f30f26c762fd66c90ef2f191bd4ddced744cc86668df646eef83a8b",
 }
 
 

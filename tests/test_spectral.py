@@ -515,6 +515,19 @@ def test_ring_clique_spectrum_closed_3():
     assert np.abs(vals).sum() == pytest.approx(16.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("q", [*range(3, 65), 255, 256, 1000])
+def test_ring_clique_spectrum_closed_equals_the_full_sort_bit_for_bit(q):
+    # reference: the q^2 closed values in generation order, sorted whole
+    ring = 2.0 * np.cos(2.0 * np.pi * np.arange(q) / q)
+    top, bottom = ring + (q - 1.0), ring - 1.0
+    vals = np.concatenate([top, np.repeat(bottom, q - 1)])
+    assert ring_clique_spectrum_closed(q).tobytes() == np.sort(vals)[::-1].tobytes()
+    # Only at q = 3 does rounding put the top block's least value below the
+    # bottom block's greatest: joined as they stand the blocks are out of
+    # order there, so the match above came from the whole-sort fallback.
+    assert (top.min() < bottom.max()) == (q == 3)
+
+
 def test_ring_clique_spectrum_closed_refuses_q_above_the_dense_limit_before_allocating():
     tracemalloc.start()
     try:
