@@ -8,21 +8,19 @@ ratio sweep tables, and the randomized/corpus verification suites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import spectral
 from . import tolerances as tol
 from .finitefield import check_integer
 from .graphcore import (
+    FAMILIES,
     Graph,
     check_dense_size,
     check_paley_parameter,
     check_ring_parameter,
     delete_edge,
     family_corpus,
-    paley,
-    ring_of_cliques,
     splitmix64,
 )
 
@@ -55,8 +53,7 @@ def e0(n: int, k: int) -> float:
     return k + math.sqrt(k * (n - 1) * (n - k))
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     """Energy summary for one graph; e0 and ratio are set for regular k >= 1."""
 
     energy: float
@@ -78,8 +75,7 @@ def energy_report(g: Graph) -> EnergyReport:
     return EnergyReport(energy=en, spectral_radius=float(vals[0]), k=k, e0=bound, ratio=ratio)
 
 
-@dataclass(frozen=True)
-class EdgeDeletionCheck:
+class EdgeDeletionCheck(NamedTuple):
     """One instance of the edge-deletion lemma: lhs = E(G), rhs = E(G - e) + 2,
     and holds when both E(G) <= E(G - e) + 2 and l1(G - e) <= l1(G) do."""
 
@@ -196,14 +192,14 @@ def _ring_row(q) -> RatioRow:
     return RatioRow("ring_of_cliques", q, n, k, n * k // 2, energy, bound, ratio, ratio, upper)
 
 
-_FAMILIES = {"paley": (paley, _paley_row), "ring_of_cliques": (ring_of_cliques, _ring_row)}
+_ROWS = {"paley": _paley_row, "ring_of_cliques": _ring_row}
 
 
 def ratio_table(family: str, params, use_closed_form: bool = False) -> list[RatioRow]:
     """One RatioRow per parameter, in input order.
 
-    family is "paley" or "ring_of_cliques", a key of _FAMILIES, which holds
-    its graph builder and its closed-form row function. Every row is first
+    family is "paley" or "ring_of_cliques", a key of _ROWS, which holds its
+    closed-form row function, and of graphcore.FAMILIES. Every row is first
     computed in closed form, which checks its parameter; a closed ring table
     checks every q against the closed spectrum's cap before the first row.
     Without use_closed_form each row's graph is also checked against
@@ -212,9 +208,8 @@ def ratio_table(family: str, params, use_closed_form: bool = False) -> list[Rati
     that energy over the row's e0. The first invalid parameter, in input
     order, aborts the whole table with an error naming it.
     """
-    if family not in _FAMILIES:
-        raise ValueError(f"family must be one of {list(_FAMILIES)}, got {family!r}")
-    build, row_of = _FAMILIES[family]
+    if family not in _ROWS:
+        raise ValueError(f"family must be one of {list(_ROWS)}, got {family!r}")
     rows = []
     try:
         if use_closed_form and family == "ring_of_cliques":
@@ -225,7 +220,7 @@ def ratio_table(family: str, params, use_closed_form: bool = False) -> list[Rati
                 checked.append(param)
             params = checked
         for param in params:
-            row = row_of(param)
+            row = _ROWS[family](param)
             if not use_closed_form:
                 check_dense_size(row.n)
             rows.append(row)
@@ -233,7 +228,7 @@ def ratio_table(family: str, params, use_closed_form: bool = False) -> list[Rati
         raise ValueError(f"invalid {family} parameter {param}: {exc}") from None
     if not use_closed_form:
         for i, row in enumerate(rows):
-            energy = spectral.energy(build(row.param))
+            energy = spectral.energy(FAMILIES[family](row.param))
             rows[i] = row._replace(energy=energy, ratio=energy / row.e0)
     return rows
 
@@ -274,7 +269,8 @@ def bounds_suite(spectra: dict) -> spectral.SuiteResult:
     and C_3..C_50, 129 graphs in all, solved in one shared_spectrum call on `spectra`."""
     result = spectral.SuiteResult("bounds")
     cases = list(family_corpus(200, 12, range(1, 51), range(3, 51)))
-    for (label, g), vals in zip(cases, spectral.shared_spectrum(spectra, [g for _, g in cases])):
+    spectra_of = spectral.shared_spectrum(spectra, [g for *_, g in cases])
+    for (family, param, g), vals in zip(cases, spectra_of):
         k = g.regularity()
         en = spectral.spectrum_energy(vals)
         bound = e0(g.n, k)
@@ -282,6 +278,6 @@ def bounds_suite(spectra: dict) -> spectral.SuiteResult:
         equality = abs(en - bound) <= tol.BOUND_SLACK
         result.check(
             within and equality == (k == g.n - 1),
-            f"{label}: energy={en!r}, e0={bound!r}, k={k}, n={g.n}",
+            f"{family}({param}): energy={en!r}, e0={bound!r}, k={k}, n={g.n}",
         )
     return result

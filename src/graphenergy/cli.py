@@ -75,16 +75,16 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-_GEN_BUILDERS = {
-    "paley": graphcore.paley,
-    "ring-clique": graphcore.ring_of_cliques,
-    "complete": graphcore.complete,
-    "cycle": graphcore.cycle,
+_FAMILY_NAMES = {
+    "complete": "complete",
+    "cycle": "cycle",
+    "paley": "paley",
+    "ring-clique": "ring_of_cliques",
 }
 
 
 def _cmd_gen(args) -> int:
-    g = _GEN_BUILDERS[args.family](args.param)
+    g = graphcore.FAMILIES[_FAMILY_NAMES[args.family]](args.param)
     _emit(graphcore.format_edge_list(g), args.out)
     # without --out the edge list owns stdout; keep the summary out of it
     summary = sys.stderr if args.out is None else sys.stdout
@@ -107,12 +107,8 @@ def _cmd_energy(args) -> int:
 
 def _cmd_ratio_table(args) -> int:
     lo, hi = _parse_range(args.range)
-    if args.family == "paley":
-        params = graphcore.paley_primes(lo, hi)
-        family = "paley"
-    else:
-        params = range(max(lo, 3), hi + 1)
-        family = "ring_of_cliques"
+    family = _FAMILY_NAMES[args.family]
+    params = graphcore.family_params(family, lo, hi)
     if not params:
         raise ValueError(f"no valid {args.family} parameters in {lo}..{hi}")
     rows = bounds.ratio_table(family, params, use_closed_form=(args.mode == "closed"))
@@ -148,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a family graph as an edge-list file")
-    gen.add_argument("family", choices=sorted(_GEN_BUILDERS))
+    gen.add_argument("family", choices=sorted(_FAMILY_NAMES))
     gen.add_argument("param", type=_int, help="p, q, or n depending on the family")
     gen.add_argument("--out", default=None, help="output path (default: stdout)")
     gen.set_defaults(func=_cmd_gen)

@@ -247,9 +247,11 @@ def paley(p: int) -> Graph:
     idx = np.arange(value, dtype=np.int64)
     is_square = np.zeros(value, dtype=bool)
     is_square[idx[1:] * idx[1:] % value] = True
-    diff = (idx[:, None] - idx[None, :]) % value
+    # A circulant: row u is is_square shifted right by u, the window of
+    # is_square taken twice that starts at p - u; a view, not a p x p array.
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(is_square, 2), value)
     # Graph() re-validates symmetry, which is exactly the p == 1 (mod 4) fact.
-    return Graph(is_square[diff])
+    return Graph(windows[:0:-1])
 
 
 def ring_of_cliques(q: int) -> Graph:
@@ -285,21 +287,27 @@ def paley_primes(lo: int, hi: int) -> list[int]:
     return found
 
 
+# A family's name is its builder's __name__, its label and its CSV `family`.
+FAMILIES = {build.__name__: build for build in (paley, ring_of_cliques, complete, cycle, empty)}
+
+
+def family_params(family: str, lo: int, hi: int):
+    """Parameters in [lo, hi] of a "paley" or "ring_of_cliques" sweep, ascending:
+    paley_primes for Paley graphs, and every q >= 3 for rings of cliques."""
+    if family == "paley":
+        return paley_primes(lo, hi)
+    return range(max(lo, 3), hi + 1)
+
+
 def family_corpus(p_max: int, q_max: int, complete_sizes, cycle_sizes, empty_sizes=()):
-    """Labeled family graphs for the verification suites, in this order:
+    """(family, param, graph) for the verification suites, in FAMILIES order:
     Paley graphs for every valid p <= p_max, rings of cliques for
     q = 3..q_max, then complete, cycle and empty graphs of the given sizes.
-    A label such as `paley(13)` names the graph in failure messages."""
-    families = (
-        (paley, paley_primes(5, p_max)),
-        (ring_of_cliques, range(3, q_max + 1)),
-        (complete, complete_sizes),
-        (cycle, cycle_sizes),
-        (empty, empty_sizes),
-    )
-    for build, params in families:
+    The suites label each graph `family(param)`, as in `paley(13)`."""
+    sweeps = family_params("paley", 5, p_max), family_params("ring_of_cliques", 3, q_max)
+    for family, params in zip(FAMILIES, (*sweeps, complete_sizes, cycle_sizes, empty_sizes)):
         for param in params:
-            yield f"{build.__name__}({param})", build(param)
+            yield family, param, FAMILIES[family](param)
 
 
 # ---------------------------------------------------------------------------

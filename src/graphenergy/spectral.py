@@ -22,10 +22,7 @@ from .graphcore import (
     check_paley_parameter,
     check_ring_parameter,
     family_corpus,
-    paley,
-    paley_primes,
     random_graph,
-    ring_of_cliques,
     splitmix64,
 )
 
@@ -337,6 +334,9 @@ def ring_clique_spectrum_closed(q: int) -> np.ndarray:
     return vals
 
 
+_CLOSED_SPECTRA = {"paley": paley_spectrum_closed, "ring_of_cliques": ring_clique_spectrum_closed}
+
+
 class SuiteResult:
     """Pass/fail tally of one verification suite."""
 
@@ -402,7 +402,8 @@ def trace_suite(trials: int, seed: int, spectra: dict) -> SuiteResult:
             ok = abs(trace) <= tol.TRACE_TOL and abs(sumsq - 2 * g.m) <= tol.TRACE_SQ_TOL
             result.check(ok, f"{label}: sum(l)={trace:.3e}, sum(l^2)-2m={sumsq - 2 * g.m:.3e}")
 
-    check(spectra, list(family_corpus(97, 10, (1, 2, 3, 5, 10, 25), (3, 4, 5, 10, 25), (1, 4))))
+    corpus = family_corpus(97, 10, (1, 2, 3, 5, 10, 25), (3, 4, 5, 10, 25), (1, 4))
+    check(spectra, [(f"{family}({param})", g) for family, param, g in corpus])
     for chunk in trial_chunks(random_graphs(trials, stream, 1, 0)):
         check({}, chunk)
     return result
@@ -413,11 +414,8 @@ def closed_forms_suite(spectra: dict) -> SuiteResult:
     the Paley graphs with p <= 200 and the rings of cliques with q <= 12,
     all solved in one shared_spectrum call on `spectra`."""
     result = SuiteResult("closed-forms")
-    cases = [(paley, paley_spectrum_closed, p) for p in paley_primes(5, 200)]
-    cases += [(ring_of_cliques, ring_clique_spectrum_closed, q) for q in range(3, 13)]
-    graphs = [build(param) for build, _, param in cases]
-    for (build, closed, param), vals in zip(cases, shared_spectrum(spectra, graphs)):
-        label = f"{build.__name__}({param})"
-        dev = float(np.abs(vals - closed(param)).max())
-        result.check(dev <= tol.CLOSED_SPECTRUM_TOL, f"{label}: max deviation {dev:.3e}")
+    cases = list(family_corpus(200, 12, (), ()))
+    for (family, param, _), vals in zip(cases, shared_spectrum(spectra, [g for *_, g in cases])):
+        dev = float(np.abs(vals - _CLOSED_SPECTRA[family](param)).max())
+        result.check(dev <= tol.CLOSED_SPECTRUM_TOL, f"{family}({param}): max deviation {dev:.3e}")
     return result

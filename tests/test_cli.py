@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphenergy import bounds, cli, spectral
+from graphenergy import bounds, cli, graphcore, spectral
 from graphenergy.graphcore import family_corpus, from_edge_list, write_edge_list
 
 
@@ -47,6 +47,36 @@ def test_gen_ring_clique_3(tmp_path, capsys):
     assert code == 0
     assert parse_labeled(out) == {"n": "9", "m": "18", "k": "4"}
     assert path.read_text().splitlines()[0] == "9 18"
+
+
+def test_family_choices_are_pinned():
+    def choices(*argv):
+        # read from the refusal, which every argparse version words alike up to quotes
+        with pytest.raises(cli._UsageError) as refused:
+            cli.build_parser().parse_args(argv)
+        return re.findall(r"[\w-]+", str(refused.value).partition("choose from")[2])
+
+    assert choices("gen", "empty", "3") == ["complete", "cycle", "paley", "ring-clique"]
+    assert choices("ratio-table", "cycle", "3..5") == ["paley", "ring-clique"]
+
+
+def test_every_family_graph_is_built_through_the_family_table(capsys, monkeypatch):
+    built = []
+    for name, build in list(graphcore.FAMILIES.items()):
+
+        def counting(param, name=name, build=build):
+            built.append((name, param))
+            return build(param)
+
+        monkeypatch.setitem(graphcore.FAMILIES, name, counting)
+    assert run(capsys, "gen", "cycle", "6")[0] == 0
+    assert run(capsys, "ratio-table", "ring-clique", "3..4", "--mode", "numeric")[0] == 0
+    assert built == [("cycle", 6), ("ring_of_cliques", 3), ("ring_of_cliques", 4)]
+    built.clear()
+    assert spectral.closed_forms_suite({}).ok
+    assert built == [("paley", p) for p in graphcore.paley_primes(5, 200)] + [
+        ("ring_of_cliques", q) for q in range(3, 13)
+    ]
 
 
 def test_gen_to_stdout_keeps_format_clean(capsys):
@@ -267,6 +297,10 @@ GOLDEN_STDOUT = {
         "66da848d2cc1810b8ccaaef01b166e6c988ebaceccd3c08477bc67f98e790ab5",
     ("gen", "paley", "101"):
         "cb5592028a36fabf90c36c6903c2daae552d3980f41b54d03f26c9cdf2d7849f",
+    ("gen", "complete", "5"):
+        "02f369096b911556d342f347851a6f997d3766501c956bed1b4e3ed810a8fc42",
+    ("gen", "cycle", "6"):
+        "bfb5b0e7bc7ef780bd592500a43f482fa2055a92eb84ef0c44b8ef0ff96ac49a",
     # the two closed-sweep benchmark outputs that tier-1 can afford to pin
     ("gen", "paley", "1009"):
         "709110df9dad8ad6e7dd56c915881fa8e16be15dfbce18704c7d87e0a240e14b",
@@ -323,7 +357,7 @@ def test_verify_all_solves_each_family_graph_once(capsys, solve_counter, stores)
         *family_corpus(97, 10, (1, 2, 3, 5, 10, 25), (3, 4, 5, 10, 25), (1, 4)),
         *family_corpus(200, 12, range(1, 51), range(3, 51)),
     ]
-    assert set(family) == {g.adjacency.tobytes() for _, g in corpus}
+    assert set(family) == {g.adjacency.tobytes() for *_, g in corpus}
     assert (len(lemma_chunk), len(family), len(trace_chunk)) == (168, 128, 81)
 
 

@@ -17,6 +17,8 @@ from graphenergy.graphcore import (
     cycle,
     delete_edge,
     empty,
+    family_corpus,
+    family_params,
     format_edge_list,
     from_edge_list,
     paley,
@@ -310,6 +312,41 @@ def test_paley_translation_invariance():
         g = paley(p)
         shift = [(x + 1) % p for x in range(p)]
         assert permute(g, shift) == g
+
+
+def test_paley_memory_is_two_boolean_matrices():
+    p = 1009
+    tracemalloc.start()
+    try:
+        g = paley(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m == p * (p - 1) // 4
+    # Graph's copy and its symmetry check; a p x p int64 difference table
+    # alone would take 8 p^2 bytes.
+    assert peak <= 4 * p * p
+
+
+def test_family_params_states_each_sweep_rule():
+    assert family_params("paley", 0, 30) == paley_primes(0, 30) == [5, 13, 17, 29]
+    assert family_params("ring_of_cliques", 0, 5) == range(3, 6)
+    assert family_params("ring_of_cliques", 7, 6) == range(7, 7)
+
+
+def test_family_corpus_yields_family_param_and_graph_in_family_order():
+    corpus = list(family_corpus(13, 4, (2,), (3,), (1,)))
+    assert [(family, param) for family, param, _ in corpus] == [
+        ("paley", 5),
+        ("paley", 13),
+        ("ring_of_cliques", 3),
+        ("ring_of_cliques", 4),
+        ("complete", 2),
+        ("cycle", 3),
+        ("empty", 1),
+    ]
+    # each family's name is its builder's
+    assert all(g == getattr(graphcore, family)(param) for family, param, g in corpus)
 
 
 def test_paley_primes():
