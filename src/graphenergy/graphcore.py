@@ -37,6 +37,7 @@ __all__ = [
 
 _MASK64 = 2**64 - 1
 _SIEVE_SEGMENT = 2**18  # integers per paley_primes segment
+_FORMAT_ROWS = 64  # adjacency rows per format_edge_list block
 
 
 def _as_edge(e: tuple[int, int], n: int) -> tuple[int, int]:
@@ -387,10 +388,17 @@ def format_edge_list(g: Graph) -> str:
     """Render the canonical edge-list text: `n m` header, then `u v` lines.
 
     Edges are written in ascending lexicographic order with u < v; the
-    output is newline-terminated.
+    output is newline-terminated. The edges are rendered a block of rows at
+    a time, so the index pairs and Python ints of one block, not of the
+    whole graph, sit beside the text.
     """
-    pairs = np.argwhere(np.triu(g.adjacency))
-    return f"{g.n} {g.m}\n" + ("%d %d\n" * len(pairs)) % tuple(pairs.ravel().tolist())
+    adj = g.adjacency
+    parts = [f"{g.n} {g.m}\n"]
+    for r0 in range(0, g.n, _FORMAT_ROWS):
+        pairs = np.argwhere(np.triu(adj[r0 : r0 + _FORMAT_ROWS], r0 + 1))
+        pairs[:, 0] += r0
+        parts.append(("%d %d\n" * len(pairs)) % tuple(pairs.ravel().tolist()))
+    return "".join(parts)
 
 
 def read_int(token: str, what: str) -> int:

@@ -74,15 +74,21 @@ def _rotation(app, aqq, apq, sqrt):
 
 def _jacobi_sweep(a: np.ndarray, skip: float) -> None:
     """One cyclic sweep of rotations over matrix a, in place; entries with
-    |a_pq| < skip are left alone. Each rotation updates rows p and q as one
-    2 x n block, blk - S @ blk with one BLAS product, and writes it back to
-    rows p, q and, since a stays exactly symmetric, to columns p, q. BLAS
-    may fuse multiply-adds, so the last ulp can depend on the BLAS build."""
+    |a_pq| < skip are left alone. Each rotation updates rows p and q in
+    place as one 2 x n block, blk - S @ blk with one BLAS product. Since a
+    stays exactly symmetric, the columns follow from the rows: row q is
+    copied to column q after each rotation, and row p to column p once,
+    after the last rotation of pivot row p. That is exact: while row p is
+    open, column p is read only as the block's entry a_qp, which feeds only
+    the new a_pp and a_qp, both overwritten by the pivot update, and rows
+    above p are not read again in the sweep. BLAS may fuse multiply-adds,
+    so the last ulp can depend on the BLAS build."""
     n = a.shape[0]
     rot = np.empty((2, 2))
-    new = np.empty((2, n))
-    new_p, new_q = new
+    prod = np.empty((2, n))
     for p in range(n - 1):
+        row_p = a[p]
+        rotated = False
         for q in range(p + 1, n):
             apq = a.item(p, q)
             if abs(apq) < skip:
@@ -90,26 +96,30 @@ def _jacobi_sweep(a: np.ndarray, skip: float) -> None:
             app, aqq = a.item(p, p), a.item(q, q)
             t, s, half = _rotation(app, aqq, apq, math.sqrt)
             blk = a[p : q + 1 : q - p]  # rows p and q, a view
+            row_q = blk[1]
             # the correction form blk - S @ blk, not the direct (I - S) @ blk:
             # for tiny angles c rounds to 1.0 and the direct form stops
             # contracting the off-diagonal mass
             rot[0, 0] = rot[1, 1] = s * half
             rot[0, 1] = s
             rot[1, 0] = -s
-            np.matmul(rot, blk, out=new)
-            np.subtract(blk, new, out=new)
-            new[0, p] = app - t * apq
-            new[1, q] = aqq + t * apq
-            new[0, q] = new[1, p] = 0.0
-            blk[...] = new
-            a[:, p] = new_p
-            a[:, q] = new_q
+            np.matmul(rot, blk, out=prod)
+            blk -= prod
+            row_p[p] = app - t * apq
+            row_q[q] = aqq + t * apq
+            row_p[q] = row_q[p] = 0.0
+            a[:, q] = row_q
+            rotated = True
+        if rotated:
+            a[:, p] = row_p.copy()
 
 
 def _stack_sweep(a: np.ndarray, live: np.ndarray, skip: np.ndarray) -> None:
     """_jacobi_sweep on each matrix a[i], i in `live`, with its own skip: each
     pair (p, q) rotates at once every live matrix whose |a_pq| >= skip. The
-    batched product runs one 2 x 2 by 2 x N gemm per matrix, as a lone solve does."""
+    batched product runs one 2 x 2 by 2 x N gemm per matrix, as a lone solve
+    does. Both columns are written after every pair: deferring column p, as
+    the scalar loop does, measured no faster here."""
     n = a.shape[1]
     for p in range(n - 1):
         for q in range(p + 1, n):

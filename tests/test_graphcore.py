@@ -563,6 +563,21 @@ def test_format_edge_list_matches_per_edge_rendering():
         assert format_edge_list(g) == "\n".join(lines) + "\n"
 
 
+def test_format_edge_list_memory_is_a_small_multiple_of_the_text():
+    g = paley(1009)
+    tracemalloc.start()
+    try:
+        text = format_edge_list(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == g.m + 1
+    # the text, its parts before the join and one block's index pairs and
+    # Python ints; the whole graph's pairs as Python ints take about 13 times
+    # the text
+    assert peak <= 3 * len(text)
+
+
 def test_parse_edge_list_roundtrip():
     for g in (empty(0), empty(4), complete(5), cycle(6), paley(13), ring_of_cliques(3)):
         assert parse_edge_list(format_edge_list(g)) == g

@@ -365,12 +365,48 @@ def sweep_calls(monkeypatch):
         def counting(a, *args, real=real, loop=loop):
             calls.append(loop)
             real(a, *args)
-            # each rotation writes its 2 x n block back to the rows and the
-            # columns, which is right only while a equals its transpose
+            # both loops copy updated rows to the matching columns (the
+            # scalar loop column p once per pivot row), which is right only
+            # while a equals its transpose
             assert np.array_equal(a, np.swapaxes(a, -1, -2)), loop
 
         monkeypatch.setattr(spectral, name, counting)
     return calls
+
+
+def _gaussian_symmetric(n, seed):
+    x = np.random.default_rng(seed).standard_normal((n, n))
+    return x + x.T
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        paley(101).adjacency,
+        permute(ring_of_cliques(6), np.random.default_rng(3).permutation(36)).adjacency,
+        cycle(50).adjacency,
+        _gaussian_symmetric(40, 11),  # negative entries reach both signs of tau
+    ],
+    ids=["paley-101", "ring-6-relabelled", "cycle-50", "gaussian-40"],
+)
+def test_scalar_sweep_leaves_the_working_matrix_the_stack_sweep_leaves(matrix):
+    # the scalar loop writes column p once per pivot row; the stack loop, run
+    # on a stack of one, still writes both columns after every rotation
+    a = np.array(matrix, dtype=np.float64)
+    n = a.shape[0]
+    np.ldexp(a, 1 - np.frexp(np.abs(a).max())[1], out=a)
+    stack = a[None].copy()
+    sizes, live = np.array([n]), np.array([0])
+    for sweeps in range(tol.JACOBI_MAX_SWEEPS):
+        (off,) = spectral._off_norms(stack, sizes, live)
+        if off < tol.JACOBI_OFF_TOL_PER_N * n:
+            break
+        spectral._jacobi_sweep(a, off / n)
+        spectral._stack_sweep(stack, live, np.array([off / n]))
+        assert np.array_equal(a, stack[0]), sweeps
+    else:
+        pytest.fail("no convergence")
+    assert sweeps > 10
 
 
 def test_a_list_of_one_graph_runs_the_scalar_loop(sweep_calls):
