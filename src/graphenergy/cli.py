@@ -9,6 +9,7 @@ error or failed verification, 2 eigensolver non-convergence.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import typing
 
@@ -67,12 +68,12 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"range must look like `lo..hi`, got {text!r}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(parts: typing.Iterable[str], out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 _FAMILY_NAMES = {
@@ -85,7 +86,8 @@ _FAMILY_NAMES = {
 
 def _cmd_gen(args) -> int:
     g = graphcore.FAMILIES[_FAMILY_NAMES[args.family]](args.param)
-    _emit(graphcore.format_edge_list(g), args.out)
+    text = graphcore.format_edge_list(g)  # sliced: a text stream encodes each write whole
+    _emit((text[i : i + 2**16] for i in range(0, len(text), 2**16)), args.out)
     # without --out the edge list owns stdout; keep the summary out of it
     summary = sys.stderr if args.out is None else sys.stdout
     summary.write(f"n {g.n}\nm {g.m}\nk {g.regularity()}\n")
@@ -95,13 +97,11 @@ def _cmd_gen(args) -> int:
 def _cmd_energy(args) -> int:
     g = graphcore.read_edge_list(args.input)
     report = bounds.energy_report(g)
-    lines = [f"n {g.n}", f"m {g.m}"]
-    lines.append(f"k {report.k}" if report.k is not None else "k not regular")
+    k = "not regular" if report.k is None else report.k
     values = [("energy", report.energy), ("spectral_radius", report.spectral_radius)]
     if report.ratio is not None:
         values += [("e0", report.e0), ("ratio", report.ratio)]
-    lines.extend("%s %.12g" % pair for pair in values)
-    sys.stdout.write("\n".join(lines) + "\n")
+    _emit([f"n {g.n}\n", f"m {g.m}\n", f"k {k}\n", *("%s %.12g\n" % v for v in values)], None)
     return EXIT_OK
 
 
@@ -112,9 +112,8 @@ def _cmd_ratio_table(args) -> int:
     if not params:
         raise ValueError(f"no valid {args.family} parameters in {lo}..{hi}")
     rows = bounds.ratio_table(family, params, use_closed_form=(args.mode == "closed"))
-    lines = [CSV_HEADER]
-    lines.extend(_ROW_FORMAT % row for row in rows)
-    _emit("\n".join(lines) + "\n", args.out)
+    lines = (_ROW_FORMAT % row + "\n" for row in rows)
+    _emit(itertools.chain([CSV_HEADER + "\n"], lines), args.out)
     return EXIT_OK
 
 
@@ -132,9 +131,8 @@ def _cmd_verify(args) -> int:
     all_ok = True
     for name in names:
         result = runners[name]()
-        sys.stdout.write(f"{result.name}: {result.passed}/{result.total} pass\n")
-        for failure in result.failures:
-            sys.stdout.write(f"  FAIL {failure}\n")
+        head = f"{result.name}: {result.passed}/{result.total} pass\n"
+        _emit([head, *(f"  FAIL {failure}\n" for failure in result.failures)], None)
         all_ok = all_ok and result.ok
     return EXIT_OK if all_ok else EXIT_VALIDATION
 

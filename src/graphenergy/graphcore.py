@@ -295,9 +295,9 @@ FAMILIES = {build.__name__: build for build in (paley, ring_of_cliques, complete
 def family_params(family: str, lo: int, hi: int):
     """Parameters in [lo, hi] of a "paley" or "ring_of_cliques" sweep, ascending:
     paley_primes for Paley graphs, and every q >= 3 for rings of cliques."""
-    if family == "paley":
-        return paley_primes(lo, hi)
-    return range(max(lo, 3), hi + 1)
+    if family not in ("paley", "ring_of_cliques"):
+        raise ValueError(f"no sweep rule for family {family!r}: only paley and ring_of_cliques")
+    return paley_primes(lo, hi) if family == "paley" else range(max(lo, 3), hi + 1)
 
 
 def family_corpus(p_max: int, q_max: int, complete_sizes, cycle_sizes, empty_sizes=()):
@@ -306,7 +306,8 @@ def family_corpus(p_max: int, q_max: int, complete_sizes, cycle_sizes, empty_siz
     q = 3..q_max, then complete, cycle and empty graphs of the given sizes.
     The suites label each graph `family(param)`, as in `paley(13)`."""
     sweeps = family_params("paley", 5, p_max), family_params("ring_of_cliques", 3, q_max)
-    for family, params in zip(FAMILIES, (*sweeps, complete_sizes, cycle_sizes, empty_sizes)):
+    groups = (*sweeps, complete_sizes, cycle_sizes, empty_sizes)
+    for family, params in zip(FAMILIES, groups, strict=True):
         for param in params:
             yield family, param, FAMILIES[family](param)
 

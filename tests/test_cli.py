@@ -60,7 +60,7 @@ def test_family_choices_are_pinned():
     assert choices("ratio-table", "cycle", "3..5") == ["paley", "ring-clique"]
 
 
-def test_every_family_graph_is_built_through_the_family_table(capsys, monkeypatch):
+def test_every_family_graph_is_built_through_the_family_table(capsys, monkeypatch, family_spectra):
     built = []
     for name, build in list(graphcore.FAMILIES.items()):
 
@@ -73,7 +73,9 @@ def test_every_family_graph_is_built_through_the_family_table(capsys, monkeypatc
     assert run(capsys, "ratio-table", "ring-clique", "3..4", "--mode", "numeric")[0] == 0
     assert built == [("cycle", 6), ("ring_of_cliques", 3), ("ring_of_cliques", 4)]
     built.clear()
-    assert spectral.closed_forms_suite({}).ok
+    # the session store: the graphs are still built, for its keys, but are
+    # solved only if no earlier test solved them
+    assert spectral.closed_forms_suite(family_spectra).ok
     assert built == [("paley", p) for p in graphcore.paley_primes(5, 200)] + [
         ("ring_of_cliques", q) for q in range(3, 13)
     ]
@@ -262,6 +264,27 @@ def test_ratio_table_paley_range_stops_below_field_cap(capsys):
 def test_ratio_table_bad_range_syntax(capsys):
     code, _, err = run(capsys, "ratio-table", "paley", "5-20")
     assert code == 1 and "lo..hi" in err
+
+
+def test_ratio_table_writes_each_row_as_it_is_formatted(tmp_path, capsys):
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    primes = graphcore.paley_primes(5, 200000)
+    # the parameter list is made inside, as the CLI makes it
+    rows = peak(lambda: bounds.ratio_table("paley", graphcore.paley_primes(5, 200000), True))
+    argv = ["ratio-table", "paley", "5..200000", "--mode", "closed", "--out", str(tmp_path / "t")]
+    # untraced, since a first run leaves about 0.2 MiB of argparse and re caches
+    assert cli.main([*argv[:2], "5..20", *argv[3:]]) == 0
+    # a list of the formatted lines and their join took about twice the rows' memory
+    assert peak(lambda: cli.main(argv)) <= rows + 2**18
+    assert capsys.readouterr() == ("", "")
+    assert (tmp_path / "t").read_text().count("\n") == len(primes) + 1
 
 
 def test_ratio_table_writes_file_deterministically(tmp_path, capsys):
@@ -495,6 +518,37 @@ def test_unknown_flag_is_an_error(capsys):
 def test_missing_subcommand_is_an_error(capsys):
     code, _, _ = run(capsys)
     assert code == 1
+
+
+def test_gen_writes_its_text_without_an_encoded_copy(tmp_path):
+    import subprocess
+    import sys
+
+    # VmHWM, the peak resident size of a fresh interpreter's own memory:
+    # ru_maxrss would also count the RSS of this process, which spawns it
+    script = """if True:
+        import sys
+        from graphenergy import cli, graphcore
+        def peak_kib():
+            with open("/proc/self/status") as status:
+                return next(int(s.split()[1]) for s in status if s.startswith("VmHWM:"))
+        g = graphcore.paley(2017)
+        text = graphcore.format_edge_list(g)
+        graphcore.FAMILIES["paley"] = lambda p: g
+        graphcore.format_edge_list = lambda graph: text
+        before = peak_kib()
+        cli.main(["gen", "paley", "2017", "--out", sys.argv[1]])
+        print((peak_kib() - before) * 1024 / len(text))
+    """
+    path = tmp_path / "p2017.txt"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path)], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines()[:3] == ["n 2017", "m 1016568", "k 1008"]
+    # one write of the whole text grows the peak by the text's length, its
+    # encoded copy
+    assert float(proc.stdout.splitlines()[3]) <= 0.25
+    assert path.read_text().splitlines()[0] == "2017 1016568"
 
 
 def test_module_entry_point():

@@ -332,6 +332,15 @@ def test_family_params_states_each_sweep_rule():
     assert family_params("paley", 0, 30) == paley_primes(0, 30) == [5, 13, 17, 29]
     assert family_params("ring_of_cliques", 0, 5) == range(3, 6)
     assert family_params("ring_of_cliques", 7, 6) == range(7, 7)
+    for family in ("complete", "bogus"):
+        with pytest.raises(ValueError, match="only paley and ring_of_cliques"):
+            family_params(family, 1, 5)
+
+
+def test_family_corpus_refuses_a_family_it_has_no_sizes_for(monkeypatch):
+    monkeypatch.setitem(graphcore.FAMILIES, "star", complete)
+    with pytest.raises(ValueError, match="zip"):
+        list(family_corpus(5, 3, (), ()))
 
 
 def test_family_corpus_yields_family_param_and_graph_in_family_order():
