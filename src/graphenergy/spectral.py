@@ -82,32 +82,47 @@ def _jacobi_sweep(a: np.ndarray, skip: float) -> None:
     open, column p is read only as the block's entry a_qp, which feeds only
     the new a_pp and a_qp, both overwritten by the pivot update, and rows
     above p are not read again in the sweep. BLAS may fuse multiply-adds,
-    so the last ulp can depend on the BLAS build."""
+    so the last ulp can depend on the BLAS build.
+
+    Every scalar is read and written as a Python float through a memoryview
+    of the same buffer (one per row of a, one flat one of the 2 x 2 S), so
+    each read sees the live value. numpy's scalar path costs about twice as
+    much per access (a.item(p, q) 0.08 us against 0.03 us, a store into S
+    0.07 us against 0.03 us), and a paley(401) solve makes about 1.2M pair
+    reads and 1.2M more scalar accesses in its rotations. The product is
+    rot.dot(blk, out=prod) and the update two contiguous row subtracts,
+    cheaper calls than matmul and the strided blk -= prod for the same
+    arithmetic. With the three, `energy` on relabelled paley(401) and
+    ring_of_cliques(16) (the energy-large benchmark workload) went from 2.24
+    to 1.78 s on one core of a 2-CPU Xeon host."""
     n = a.shape[0]
     rot = np.empty((2, 2))
     prod = np.empty((2, n))
+    prod_p, prod_q = prod
+    rot_flat = memoryview(rot).cast("B").cast("d")
+    rows = list(a)
+    views = [memoryview(row) for row in rows]
     for p in range(n - 1):
-        row_p = a[p]
+        row_p, view_p = rows[p], views[p]
         rotated = False
-        for q in range(p + 1, n):
-            apq = a.item(p, q)
+        for q, apq in enumerate(view_p[p + 1 :], p + 1):
             if abs(apq) < skip:
                 continue
-            app, aqq = a.item(p, p), a.item(q, q)
+            row_q, view_q = rows[q], views[q]
+            app, aqq = view_p[p], view_q[q]
             t, s, half = _rotation(app, aqq, apq, math.sqrt)
-            blk = a[p : q + 1 : q - p]  # rows p and q, a view
-            row_q = blk[1]
             # the correction form blk - S @ blk, not the direct (I - S) @ blk:
             # for tiny angles c rounds to 1.0 and the direct form stops
             # contracting the off-diagonal mass
-            rot[0, 0] = rot[1, 1] = s * half
-            rot[0, 1] = s
-            rot[1, 0] = -s
-            np.matmul(rot, blk, out=prod)
-            blk -= prod
-            row_p[p] = app - t * apq
-            row_q[q] = aqq + t * apq
-            row_p[q] = row_q[p] = 0.0
+            rot_flat[0] = rot_flat[3] = s * half
+            rot_flat[1] = s
+            rot_flat[2] = -s
+            rot.dot(a[p : q + 1 : q - p], out=prod)  # rows p and q, a view
+            np.subtract(row_p, prod_p, out=row_p)
+            np.subtract(row_q, prod_q, out=row_q)
+            view_p[p] = app - t * apq
+            view_q[q] = aqq + t * apq
+            view_p[q] = view_q[p] = 0.0
             a[:, q] = row_q
             rotated = True
         if rotated:
@@ -236,9 +251,12 @@ def _solve(a: np.ndarray, sizes: np.ndarray) -> list:
 
 
 # Graphs up to this order share one zero-padded Jacobi stack; larger ones are
-# solved alone. On one core of a 2-CPU Xeon host, the random suites' graphs
-# (n <= 12) solve 9-10x faster stacked, and family graphs with n = 13..200
-# 2-3x slower (the 31 closed-forms graphs: 3.5 s alone, 10.5 s stacked).
+# solved alone. On one core of a 2-CPU Xeon host (CPU time, 3 runs each), the
+# 1400 distinct random graphs of `verify lemma --trials 1000 --seed 1`
+# (n <= 12) solve 8-10x faster stacked (0.17-0.21 s against 1.7-1.9 s), and
+# family graphs 4-7x slower (the 31 closed-forms graphs, n = 5..197: 1.4-2.2 s
+# alone, 8.0-10.2 s stacked; paley(13), ring_of_cliques(4) and paley(17):
+# 0.005 s alone, 0.022 s stacked). The random suites draw no graph above n = 12.
 _STACK_MAX_N = 12
 
 

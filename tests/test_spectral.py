@@ -416,13 +416,26 @@ def test_a_list_of_one_graph_runs_the_scalar_loop(sweep_calls):
     assert vals.tobytes() == eigenvalues(g).tobytes()
 
 
-def test_the_last_live_matrix_of_a_stack_runs_the_scalar_loop(sweep_calls):
-    graphs = [complete(2), cycle(12)]
-    vals = eigenvalues(graphs)
-    # K_2 converges in the first sweep; C_12 then sweeps alone
-    assert sweep_calls[:1] == ["stack"] and set(sweep_calls[1:]) == {"scalar"}
-    for v, g in zip(vals, graphs):
-        assert v.tobytes() == eigenvalues(g).tobytes()
+def test_the_last_live_matrix_of_a_stack_runs_the_scalar_loop(sweep_calls, monkeypatch):
+    contiguous = []
+    counting = spectral._jacobi_sweep
+
+    def recording(a, skip):
+        contiguous.append(a.flags.c_contiguous)
+        counting(a, skip)
+
+    monkeypatch.setattr(spectral, "_jacobi_sweep", recording)
+    # K_2 converges in the first sweep, and C_12 then sweeps alone as the
+    # whole 12 x 12 block; K_12 converges in one sweep too, and C_7 then
+    # sweeps alone as a[1, :7, :7], whose rows are 12 entries apart
+    for graphs, whole in (([complete(2), cycle(12)], True), ([complete(12), cycle(7)], False)):
+        sweep_calls.clear()
+        contiguous.clear()
+        vals = eigenvalues(graphs)
+        assert sweep_calls[:1] == ["stack"] and set(sweep_calls[1:]) == {"scalar"}
+        assert contiguous and set(contiguous) == {whole}
+        for v, g in zip(vals, graphs):
+            assert v.tobytes() == eigenvalues(g).tobytes()
 
 
 def test_every_sweep_leaves_the_working_matrix_exactly_symmetric(sweep_calls):
