@@ -22,6 +22,12 @@ def trial_division(u: int) -> bool:
     return True
 
 
+def numpy_trial_division(u: int) -> bool:
+    """trial_division with numpy: u's remainders by every integer from 2 to
+    isqrt(u) at once, fast enough for the whole domain."""
+    return u >= 2 and bool((u % np.arange(2, math.isqrt(u) + 1)).all())
+
+
 # ---------------------------------------------------------------------------
 # is_prime
 
@@ -64,9 +70,18 @@ def test_is_prime_large_values(value, expected):
 
 
 def test_is_prime_agrees_with_trial_division_at_the_top_of_its_domain():
-    divisors = np.arange(2, math.isqrt(FIELD_MODULUS_CAP) + 1)
     for u in range(FIELD_MODULUS_CAP - 300, FIELD_MODULUS_CAP):
-        assert is_prime(u) == bool((u % divisors).all()), u
+        assert is_prime(u) == numpy_trial_division(u), u
+
+
+def test_is_prime_agrees_with_trial_division_at_its_stage_boundaries():
+    # Below 2**10 a member test, from 2**10 a gcd with the primes below
+    # 2**10, from 2**20 also a numpy remainder by the primes above them.
+    # 1021 is the largest prime below 2**10, 1031 and 1033 the two smallest
+    # above it; 2**20 = 1048576 falls between 1021**2 and 1021 * 1031.
+    products = [1019 * 1021, 1021 * 1021, 1021 * 1031, 1031 * 1031, 1031 * 1033]
+    for u in [*range(2**10 - 64, 2**10 + 65), *range(2**20 - 2000, 2**20 + 2001), *products]:
+        assert is_prime(u) == trial_division(u), u
 
 
 def test_is_prime_agrees_with_a_sieve_below_two_million():
@@ -115,9 +130,9 @@ def test_is_prime_rejects_out_of_range():
         is_prime(2**31)
 
 
-@given(st.integers(min_value=0, max_value=200_000))
+@given(st.integers(min_value=0, max_value=FIELD_MODULUS_CAP - 1))
 def test_is_prime_agrees_with_trial_division(u):
-    assert is_prime(u) == trial_division(u)
+    assert is_prime(u) == numpy_trial_division(u)
 
 
 # ---------------------------------------------------------------------------
