@@ -141,8 +141,8 @@ def ring_clique_ratio_upper(q: int) -> float:
     that is checked here. The bound exceeds 1 for small q and decays toward
     0 only asymptotically.
     """
-    q = check_ring_parameter(q)
-    upper = ring_clique_energy_upper(q)
+    upper = ring_clique_energy_upper(q)  # checks q
+    q = int(q)
     estimate = (q * q - q - 1) * math.sqrt(q + 1.0)
     if not e0(q * q, q + 1) >= estimate:
         raise ArithmeticError("e0 fell below its lower estimate")

@@ -395,6 +395,23 @@ def test_paley_ratio_row_checks_its_prime_once(monkeypatch):
     assert calls == [13, 17]
 
 
+def test_ring_ratio_row_checks_its_parameter_once(monkeypatch):
+    # ring_clique_energy_upper checks it; the ratio bound reuses the value
+    calls = []
+    check = bounds.check_ring_parameter
+
+    def counting_check(q):
+        calls.append(q)
+        return check(q)
+
+    monkeypatch.setattr(bounds, "check_ring_parameter", counting_check)
+    ratio_table("ring_of_cliques", [3, 4], use_closed_form=True)
+    assert calls == [3, 4]
+    calls.clear()
+    ratio_table("ring_of_cliques", [3, 4])
+    assert calls == [3, 4]
+
+
 def test_paley_rows_carry_chain_bound():
     row, = ratio_table("paley", [13], use_closed_form=True)
     assert row.closed_ratio == pytest.approx(0.9712956672724611, abs=1e-12)

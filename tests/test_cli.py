@@ -1,9 +1,10 @@
 """Command-line behavior: formats, exit codes, and determinism."""
 
+import collections
 import contextlib
-import hashlib
 import io
 import math
+import pathlib
 import re
 import tracemalloc
 
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from graphenergy import bounds, cli, graphcore, spectral
 from graphenergy.graphcore import family_corpus, from_edge_list, write_edge_list
+
+import golden
 
 
 def run(capsys, *argv):
@@ -115,17 +118,6 @@ def test_gen_then_energy_roundtrip(tmp_path, capsys):
     assert report["ratio"] == "1"
 
 
-def test_energy_paley_13(tmp_path, capsys):
-    path = tmp_path / "p13.txt"
-    run(capsys, "gen", "paley", "13", "--out", str(path))
-    code, out, _ = run(capsys, "energy", str(path))
-    assert code == 0
-    report = parse_labeled(out)
-    assert report["energy"].startswith("27.6333")
-    assert report["ratio"].startswith("0.971295")
-    assert report["spectral_radius"] == "6"
-
-
 def test_energy_non_regular_has_no_ratio_line(tmp_path, capsys):
     path = tmp_path / "p3.txt"
     write_edge_list(from_edge_list(3, [(0, 1), (1, 2)]), path)
@@ -226,25 +218,6 @@ def test_ratio_table_ring_numeric_refuses_a_wide_range_in_small_memory(capsys):
     assert peak < 2 * 2**20
 
 
-def test_ratio_table_closed_refuses_a_ring_above_the_dense_limit(capsys):
-    code, out, err = run(capsys, "ratio-table", "ring-clique", "100000..100000", "--mode", "closed")
-    assert (code, out) == (1, "")
-    assert err == (
-        "error: invalid ring_of_cliques parameter 100000: "
-        "closed-form ring spectrum needs q <= 4096, got 100000\n"
-    )
-
-
-def test_ratio_table_closed_refuses_a_ring_range_past_the_limit_before_any_row(capsys):
-    # every q is checked first: without that, q = 3..4096 took minutes to build
-    code, out, err = run(capsys, "ratio-table", "ring-clique", "3..5000", "--mode", "closed")
-    assert (code, out) == (1, "")
-    assert err == (
-        "error: invalid ring_of_cliques parameter 4097: "
-        "closed-form ring spectrum needs q <= 4096, got 4097\n"
-    )
-
-
 def test_ratio_table_empty_range_fails(capsys):
     code, _, err = run(capsys, "ratio-table", "paley", "14..16")
     assert code == 1 and "no valid" in err
@@ -303,40 +276,49 @@ def test_ratio_table_numeric_and_closed_agree(capsys):
         assert ratio_n == pytest.approx(ratio_c, abs=1e-7)
 
 
-# sha256 of stdout: pins every digit, row and edge of these outputs.
-GOLDEN_STDOUT = {
-    ("ratio-table", "paley", "5..401", "--mode", "closed"):
-        "6588fa7fb0a83b521b30c8e1b08543cfe93391bf71a6abfcfe7885c8413d7e21",
-    # a window across 2**18 = 262144, sieved as one segment from its start
-    ("ratio-table", "paley", "262000..263000", "--mode", "closed"):
-        "39b27a1111e41b6bf88d2bf98cbb8c45c3d08e99155b626d52945658e74dc44d",
-    ("ratio-table", "ring-clique", "3..40", "--mode", "closed"):
-        "cf63e6777ba4597bc3d55f8a8ec550931f129fc58a766aef30c869d1a01620c4",
-    ("ratio-table", "ring-clique", "3..6", "--mode", "numeric"):
-        "835e3acbff0f9b3983a5221e2ab84f242095d875264fcbc1dab9d6f4e39d0c57",
-    ("ratio-table", "paley", "5..60", "--mode", "numeric"):
-        "3583c1dfd12514d7d699f7fba5231c54b83bb4af71efb8a61fce37b9dab50e02",
-    ("gen", "ring-clique", "5"):
-        "66da848d2cc1810b8ccaaef01b166e6c988ebaceccd3c08477bc67f98e790ab5",
-    ("gen", "paley", "101"):
-        "cb5592028a36fabf90c36c6903c2daae552d3980f41b54d03f26c9cdf2d7849f",
-    ("gen", "complete", "5"):
-        "02f369096b911556d342f347851a6f997d3766501c956bed1b4e3ed810a8fc42",
-    ("gen", "cycle", "6"):
-        "bfb5b0e7bc7ef780bd592500a43f482fa2055a92eb84ef0c44b8ef0ff96ac49a",
-    # the two closed-sweep benchmark outputs that tier-1 can afford to pin
-    ("gen", "paley", "1009"):
-        "709110df9dad8ad6e7dd56c915881fa8e16be15dfbce18704c7d87e0a240e14b",
-    ("ratio-table", "ring-clique", "3..300", "--mode", "closed"):
-        "b09f0c928f30f26c762fd66c90ef2f191bd4ddced744cc86668df646eef83a8b",
-}
+# ---------------------------------------------------------------------------
+# the golden table
 
 
-@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT), ids=" ".join)
-def test_output_matches_golden_digest(capsys, argv):
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode("ascii")).hexdigest() == GOLDEN_STDOUT[argv]
+def in_process(capsys):
+    """golden.result's run: cli.main, its stdout and stderr as bytes."""
+
+    def run_bytes(argv):
+        code, out, err = run(capsys, *argv)
+        return code, out.encode(), err.encode()
+
+    return run_bytes
+
+
+def golden_row(argv):
+    (row,) = [row for row in golden.ROWS if row.argv == argv]
+    return row
+
+
+@pytest.mark.parametrize(
+    "row", [row for row in golden.ROWS if row.tier == "tier1"], ids=lambda row: row.argv
+)
+def test_output_matches_golden_digest(capsys, monkeypatch, tmp_path, row):
+    monkeypatch.chdir(tmp_path)
+    assert golden.result(row, in_process(capsys)) == row
+
+
+def test_every_pinned_digest_lives_once_in_the_golden_table():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    places = collections.defaultdict(list)
+    for path in [*root.glob("tests/*.py"), *root.glob(".github/workflows/*.yml")]:
+        for digest in re.findall(r"\b[0-9a-f]{64}\b", path.read_text(encoding="utf-8")):
+            places[digest].append(path.name)
+    pinned = {
+        value
+        for row in golden.ROWS
+        for value in (row.stdout, row.out)
+        if value is not None and re.fullmatch("[0-9a-f]{64}", value)
+    }
+    assert places == {digest: ["golden.py"] for digest in pinned}
+    argvs = [row.argv for row in golden.ROWS]
+    assert len(set(argvs)) == len(argvs)
+    assert {row.tier for row in golden.ROWS} == {"tier1", "ci"}
 
 
 # ---------------------------------------------------------------------------
@@ -349,27 +331,13 @@ def test_verify_lemma_small(capsys):
     assert "lemma: 5/5 pass" in out
 
 
-def test_verify_trace_small(capsys):
-    code, out, _ = run(capsys, "verify", "trace", "--trials", "3", "--seed", "9")
-    assert code == 0
-    assert out.startswith("trace: ")
-    assert "pass" in out
-
-
-def test_verify_closed_forms(capsys):
-    code, out, _ = run(capsys, "verify", "closed-forms")
-    assert code == 0
-    # 21 valid primes up to 200 plus rings q = 3..12
-    assert "closed-forms: 31/31 pass" in out
-
-
 def test_verify_all_solves_each_family_graph_once(capsys, solve_counter, stores):
     # lemma solves the 168 distinct graphs among its 100 G and 100 G - e;
     # trace its 29 distinct family graphs and its 81 distinct random ones;
     # then closed-forms the 12 family graphs trace did not, and bounds the 87
     # that neither did.
-    code, out, _ = run(capsys, "verify", "all", "--trials", "100", "--seed", "0")
-    assert code == 0, out
+    row = golden_row("verify all --trials 100 --seed 0")
+    assert golden.result(row, in_process(capsys)) == row
     assert len(solve_counter) == 168 + 29 + 81 + 12 + 87 == 377
     # the 105 graphs with n > 12, all family graphs, are solved alone, once each
     assert sum(n > 12 for n in solve_counter) == 105
@@ -385,8 +353,8 @@ def test_verify_all_solves_each_family_graph_once(capsys, solve_counter, stores)
 
 
 def test_verify_lemma_solves_its_distinct_matrices_in_one_stack(capsys, solver_calls):
-    code, out, err = run(capsys, "verify", "lemma", "--trials", "1000", "--seed", "1")
-    assert (code, out, err) == (0, "lemma: 1000/1000 pass\n", "")
+    row = golden_row("verify lemma --trials 1000 --seed 1")
+    assert golden.result(row, in_process(capsys)) == row
     # the 1000 graphs G and 1000 graphs G - e hold 1400 distinct matrices
     assert len(solver_calls) == 1 and len(solver_calls[0]) == 1400
 
