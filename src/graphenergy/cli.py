@@ -108,10 +108,11 @@ def _cmd_energy(args) -> int:
 def _cmd_ratio_table(args) -> int:
     lo, hi = _parse_range(args.range)
     family = _FAMILY_NAMES[args.family]
+    # read lazily: a refused parameter stops the Paley sieve where it stands
     params = graphcore.family_params(family, lo, hi)
-    if not params:
-        raise ValueError(f"no valid {args.family} parameters in {lo}..{hi}")
     rows = bounds.ratio_table(family, params, use_closed_form=(args.mode == "closed"))
+    if not rows:
+        raise ValueError(f"no valid {args.family} parameters in {lo}..{hi}")
     lines = (_ROW_FORMAT % row + "\n" for row in rows)
     _emit(itertools.chain([CSV_HEADER + "\n"], lines), args.out)
     return EXIT_OK

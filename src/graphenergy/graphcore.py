@@ -7,6 +7,7 @@ seeded random graphs for property tests, and the edge-list text format.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Iterator
 
@@ -271,19 +272,24 @@ def ring_of_cliques(q: int) -> Graph:
     return Graph(np.kron(cycle(q).adjacency, eye) | np.kron(eye, complete(q).adjacency))
 
 
+def _sieve_windows(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """[lo, hi] cut to 5 <= p < 2**31 as (first, last) windows of
+    _SIEVE_SEGMENT integers, counted from the window's own start."""
+    start = max(check_integer(lo, "lower bound"), 5)
+    stop = min(check_integer(hi, "upper bound"), FIELD_MODULUS_CAP - 1)
+    return ((s, min(s + _SIEVE_SEGMENT - 1, stop)) for s in range(start, stop + 1, _SIEVE_SEGMENT))
+
+
 def paley_primes(lo: int, hi: int) -> list[int]:
     """All valid Paley parameters in [lo, hi]: primes p == 1 (mod 4), 5 <= p < 2**31.
 
-    A segmented sieve: the window is cut into segments of _SIEVE_SEGMENT
-    integers from its own start, each sieved by finitefield.primes_between
-    with the base PRIMES, so memory is O(_SIEVE_SEGMENT) whatever the
-    window's width.
+    A segmented sieve: each of _sieve_windows(lo, hi) is sieved by
+    finitefield.primes_between with the base PRIMES, so memory beyond the
+    list returned is O(_SIEVE_SEGMENT) whatever the window's width.
     """
-    start = max(check_integer(lo, "lower bound"), 5)
-    stop = min(check_integer(hi, "upper bound"), FIELD_MODULUS_CAP - 1)
     found: list[int] = []
-    for seg_lo in range(start, stop + 1, _SIEVE_SEGMENT):
-        values = primes_between(seg_lo, min(seg_lo + _SIEVE_SEGMENT - 1, stop), PRIMES)
+    for first, last in _sieve_windows(lo, hi):
+        values = primes_between(first, last, PRIMES)
         found.extend(values[values % 4 == 1].tolist())
     return found
 
@@ -294,10 +300,14 @@ FAMILIES = {build.__name__: build for build in (paley, ring_of_cliques, complete
 
 def family_params(family: str, lo: int, hi: int):
     """Parameters in [lo, hi] of a "paley" or "ring_of_cliques" sweep, ascending:
-    paley_primes for Paley graphs, and every q >= 3 for rings of cliques."""
+    every q >= 3 for rings of cliques, as a range, and paley_primes for Paley
+    graphs, as an iterator that sieves one window at a time as it is read, so
+    that a reader who stops at a refused p sieves no further."""
     if family not in ("paley", "ring_of_cliques"):
         raise ValueError(f"no sweep rule for family {family!r}: only paley and ring_of_cliques")
-    return paley_primes(lo, hi) if family == "paley" else range(max(lo, 3), hi + 1)
+    if family == "ring_of_cliques":
+        return range(max(lo, 3), hi + 1)
+    return itertools.chain.from_iterable(itertools.starmap(paley_primes, _sieve_windows(lo, hi)))
 
 
 def family_corpus(p_max: int, q_max: int, complete_sizes, cycle_sizes, empty_sizes=()):

@@ -4,7 +4,9 @@ The eigensolver is a cyclic Jacobi iteration written here rather than taken
 from a library: it is simple, unconditionally stable for symmetric input,
 and accurate on the heavily degenerate spectra of the graph families this
 package studies. Closed-form spectra for those families, graph energy and
-the invariant-checking suites live here too.
+two of the four invariant-checking suites, trace_suite and
+closed_forms_suite, live here too; lemma_suite and bounds_suite are in
+bounds.
 """
 
 from __future__ import annotations

@@ -3,9 +3,12 @@
 Each row is one `graphenergy` command and all that it prints: its exit
 code, its stdout, its exact stderr and, for a command with `--out FILE`,
 the file it writes. An expected stdout or file is exact text, or the
-sha256 of its bytes where the row holds 64 hex digits. A row with `setup`
-first runs that `gen ... --out FILE` command to write its input file.
-Rows share nothing: each runs in an empty directory of its own.
+sha256 of its bytes where the row holds 64 hex digits; stderr is read as
+ASCII, each other byte written as its \\x escape. Arguments are split as
+a shell splits them, so `' 4'` is one argument. A row with `setup` first
+runs that `gen ... --out FILE` command to write its input file. Rows
+share nothing: each runs in an empty directory of its own, and must leave
+in it no file but its setup's and its own `--out FILE`.
 
 The tier says who runs a row. tests/test_cli.py runs the "tier1" rows
 in-process through `cli.main`. Run as a script, this module runs every
@@ -24,6 +27,7 @@ import hashlib
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -35,7 +39,7 @@ _DIGEST = re.compile("[0-9a-f]{64}")
 
 class Row(NamedTuple):
     tier: str  # "tier1" or "ci"
-    argv: str  # the arguments after `graphenergy`, separated by spaces
+    argv: str  # the arguments after `graphenergy`, quoted as in a shell
     code: int
     stdout: str
     stderr: str
@@ -46,6 +50,8 @@ class Row(NamedTuple):
 # sha256 digests that two rows share: one output, to stdout or to --out
 P13 = "b43e5bafcd1671e9b9d7558f09083210cc76005dee982e39268869420d04ac88"
 PALEY_5_1E6 = "81a43a5e97a3dd75fbcb49b988e03a82ceafe30786a677b4b828773a29955be4"
+# the stderr of each row that gives `--` as an argument value
+DASHES = "usage error: `--` is not an argument value\n"
 
 ROWS = [
     # gen: the edge list to stdout and n, m, k to stderr, or to --out and stdout
@@ -71,6 +77,14 @@ ROWS = [
         "tier1", "gen cycle 6", 0,
         "bfb5b0e7bc7ef780bd592500a43f482fa2055a92eb84ef0c44b8ef0ff96ac49a", "n 6\nm 6\nk 2\n",
     ),
+    Row("tier1", "gen cycle 4", 0, "4 4\n0 1\n0 3\n1 2\n2 3\n", "n 4\nm 4\nk 2\n"),
+    Row(
+        "tier1", "gen ring-clique 3 --out r3.txt", 0, "n 9\nm 18\nk 4\n", "",
+        out="dec2673a596945159aa37e62043bcf9aca76eff2b6a690cedd167cdfb08ed75a",
+    ),
+    Row("tier1", "gen paley 12", 1, "", "error: Paley parameter must be prime, got 12\n"),
+    Row("tier1", "gen cycle 2", 1, "", "error: cycle needs n >= 3, got 2\n"),
+    Row("tier1", "gen ring-clique 2", 1, "", "error: ring of cliques needs q >= 3, got 2\n"),
     # a closed-sweep benchmark output
     Row(
         "tier1", "gen paley 1009", 0,
@@ -83,6 +97,15 @@ ROWS = [
         "n 13\nm 39\nk 6\nenergy 27.6333076528\nspectral_radius 6\n"
         "e0 28.4499443206\nratio 0.971295667272\n",
         "", setup="gen paley 13 --out p13.txt",
+    ),
+    Row(
+        "tier1", "energy k5.txt", 0,
+        "n 5\nm 10\nk 4\nenergy 8\nspectral_radius 4\ne0 8\nratio 1\n",
+        "", setup="gen complete 5 --out k5.txt",
+    ),
+    Row(
+        "tier1", "energy missing.txt", 1, "",
+        "error: [Errno 2] No such file or directory: 'missing.txt'\n",
     ),
     # a 256-vertex ring, solved alone by the scalar Jacobi loop
     Row(
@@ -133,6 +156,31 @@ ROWS = [
         "ci", "ratio-table paley 2146435073..2147483647 --mode closed", 0,
         "e4ca038c96e26648d6845f1f24f118fceba67154aa073f7a2d5d1777baefb17e", "",
     ),
+    # the last valid p lies below the field cap 2**31; a window above it is empty
+    Row(
+        "tier1", "ratio-table paley 2147483000..2147484000 --mode closed", 0,
+        "85d03ff5368697708fe19517e7b8243c51ef8d886c76d87996552246db5cf4ba", "",
+    ),
+    Row(
+        "tier1", "ratio-table paley 2147483700..2147484000 --mode closed", 1, "",
+        "error: no valid paley parameters in 2147483700..2147484000\n",
+    ),
+    Row("tier1", "ratio-table paley 14..16", 1, "", "error: no valid paley parameters in 14..16\n"),
+    Row(
+        "tier1", "ratio-table ring-clique 1..2", 1, "",
+        "error: no valid ring-clique parameters in 1..2\n",
+    ),
+    Row(
+        "tier1", "ratio-table paley 5-20", 1, "",
+        "error: range must look like `lo..hi`, got '5-20'\n",
+    ),
+    # p = 4129, the first past the dense limit, is refused before the sieve
+    # reads past its first window of 2**18 integers
+    Row(
+        "tier1", "ratio-table paley 5..100000000 --mode numeric", 1, "",
+        "error: invalid paley parameter 4129: graph on 4129 vertices "
+        "exceeds the dense-size limit of 4096 vertices\n",
+    ),
     Row(
         "tier1", "ratio-table ring-clique 3..40 --mode closed", 0,
         "cf63e6777ba4597bc3d55f8a8ec550931f129fc58a766aef30c869d1a01620c4", "",
@@ -158,6 +206,12 @@ ROWS = [
         "error: invalid ring_of_cliques parameter 4097: "
         "closed-form ring spectrum needs q <= 4096, got 4097\n",
     ),
+    # q = 64 has 4096 vertices and fits; q = 65 has 4225 and is refused before q = 64 is solved
+    Row(
+        "tier1", "ratio-table ring-clique 64..65 --mode numeric", 1, "",
+        "error: invalid ring_of_cliques parameter 65: graph on 4225 vertices "
+        "exceeds the dense-size limit of 4096 vertices\n",
+    ),
     # verify
     Row("tier1", "verify lemma --trials 1000 --seed 1", 0, "lemma: 1000/1000 pass\n", ""),
     # 5000 random trials cross two chunk boundaries (2048 trials a chunk)
@@ -173,6 +227,54 @@ ROWS = [
         "lemma: 100/100 pass\ntrace: 132/132 pass\nclosed-forms: 31/31 pass\nbounds: 129/129 pass\n",
         "",
     ),
+    Row(
+        "tier1", "verify lemma --trials 0", 1, "",
+        "usage error: argument --trials: trials must be at least 1, got 0\n",
+    ),
+    # Integer arguments follow the edge-list rule. The first six are integers
+    # to int() and to \d but not to that rule. The first echoes its
+    # Arabic-Indic digits to stderr in UTF-8, shown here \x-escaped.
+    Row(
+        "tier1", "ratio-table paley \u0665..\u0661\u0667 --mode closed", 1, "",
+        "error: range must look like `lo..hi`, got '\\xd9\\xa5..\\xd9\\xa1\\xd9\\xa7'\n",
+    ),
+    Row("tier1", "gen cycle 1_0", 1, "", "usage error: argument param: invalid int value: '1_0'\n"),
+    Row("tier1", "gen cycle +4", 1, "", "usage error: argument param: invalid int value: '+4'\n"),
+    Row("tier1", "gen cycle ' 4'", 1, "", "usage error: argument param: invalid int value: ' 4'\n"),
+    Row(
+        "tier1", "verify lemma --trials +2 --seed 1_0", 1, "",
+        "usage error: argument --trials: invalid int value: '+2'\n",
+    ),
+    Row(
+        "tier1", "verify lemma --seed 1_0", 1, "",
+        "usage error: argument --seed: invalid int value: '1_0'\n",
+    ),
+    Row("tier1", "gen cycle x", 1, "", "usage error: argument param: invalid int value: 'x'\n"),
+    Row(
+        "tier1", "verify lemma --trials x", 1, "",
+        "usage error: argument --trials: invalid int value: 'x'\n",
+    ),
+    Row(
+        "tier1", "verify lemma --seed x", 1, "",
+        "usage error: argument --seed: invalid int value: 'x'\n",
+    ),
+    Row(
+        "tier1", "ratio-table paley 5..x", 1, "",
+        "error: range must look like `lo..hi`, got '5..x'\n",
+    ),
+    # argparse versions differ on a `--` value, so the CLI refuses one before
+    # argparse reads the arguments; `--out=--` must write no file named `--`
+    Row("tier1", "verify lemma --seed=--", 1, "", DASHES),
+    Row("tier1", "gen cycle -- --", 1, "", DASHES),
+    Row("tier1", "gen paley 13 --out=--", 1, "", DASHES),
+    Row("tier1", "energy -- --", 1, "", DASHES),
+    Row("tier1", "gen cycle -- 5", 0, "5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n", "n 5\nm 5\nk 2\n"),
+    # an unknown flag, and no subcommand
+    Row(
+        "tier1", "gen paley 13 --frobnicate", 1, "",
+        "usage error: unrecognized arguments: --frobnicate\n",
+    ),
+    Row("tier1", "", 1, "", "usage error: the following arguments are required: command\n"),
 ]
 
 
@@ -185,20 +287,28 @@ def _seen(want: str | None, got: bytes | None) -> str | None:
     return got.decode("ascii", "backslashreplace")
 
 
-def result(row: Row, run) -> Row:
-    """What row's command does, as a Row to compare with row itself.
+def _out_file(argv: list[str]) -> str | None:
+    return argv[argv.index("--out") + 1] if "--out" in argv else None
+
+
+def result(row: Row, run) -> Row | str:
+    """What row's command does, as a Row to compare with row itself, or a str
+    naming the files it left in the current directory beside those of its
+    setup's `--out` and its own.
 
     run(argv) runs one command in the current directory and returns its exit
     code, stdout and stderr, the last two as bytes.
     """
-    if row.setup is not None:
-        run(row.setup.split())
-    argv = row.argv.split()
+    setup = shlex.split(row.setup or "")
+    if setup:
+        run(setup)
+    argv = shlex.split(row.argv)
     code, out, err = run(argv)
-    written = None
-    if row.out is not None:
-        path = pathlib.Path(argv[argv.index("--out") + 1])
-        written = path.read_bytes() if path.exists() else None
+    files, out_file = set(os.listdir()), _out_file(argv)
+    stray = sorted(files - {_out_file(setup), out_file})
+    if stray:
+        return f"left stray files {stray}"
+    written = pathlib.Path(out_file).read_bytes() if out_file in files else None
     return row._replace(
         code=code,
         stdout=_seen(row.stdout, out),

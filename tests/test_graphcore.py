@@ -329,7 +329,7 @@ def test_paley_memory_is_two_boolean_matrices():
 
 
 def test_family_params_states_each_sweep_rule():
-    assert family_params("paley", 0, 30) == paley_primes(0, 30) == [5, 13, 17, 29]
+    assert list(family_params("paley", 0, 30)) == paley_primes(0, 30) == [5, 13, 17, 29]
     assert family_params("ring_of_cliques", 0, 5) == range(3, 6)
     assert family_params("ring_of_cliques", 7, 6) == range(7, 7)
     for family in ("complete", "bogus"):
