@@ -72,6 +72,6 @@ def check_integer(x, what: str) -> int:
         value = int(x)
         if value == x:
             return value
-    except (OverflowError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         pass
     raise ValueError(f"{what} must be an integer, got {x}")

@@ -306,7 +306,7 @@ def family_params(family: str, lo: int, hi: int):
     if family not in ("paley", "ring_of_cliques"):
         raise ValueError(f"no sweep rule for family {family!r}: only paley and ring_of_cliques")
     if family == "ring_of_cliques":
-        return range(max(lo, 3), hi + 1)
+        return range(max(check_integer(lo, "lower bound"), 3), check_integer(hi, "upper bound") + 1)
     return itertools.chain.from_iterable(itertools.starmap(paley_primes, _sieve_windows(lo, hi)))
 
 

@@ -2,6 +2,8 @@
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import graphenergy
 
@@ -83,3 +85,10 @@ def test_every_submodule_export_is_defined_in_its_module():
             assert name in vars(mod), f"{mod.__name__}.__all__ names undefined {name!r}"
             home = getattr(vars(mod)[name], "__module__", mod.__name__)
             assert home == mod.__name__, f"{mod.__name__}.__all__ re-exports {name!r} from {home}"
+
+
+def test_readme_library_example_runs():
+    # CI runs this test against the installed package too
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    (example,) = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    exec(example, {})

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from graphenergy.bounds import e0
 from graphenergy.finitefield import FIELD_MODULUS_CAP, PRIMES, is_prime, primes_between
-from graphenergy.graphcore import check_paley_parameter
+from graphenergy.graphcore import check_paley_parameter, cycle, paley, random_graph, splitmix64
 
 
 def trial_division(u: int) -> bool:
@@ -121,6 +122,25 @@ def test_is_prime_reads_its_input_through_the_integer_rule():
     for value in (2.5, float("nan"), float("inf"), "7"):
         with pytest.raises(ValueError, match=f"primality input must be an integer, got {value}"):
             is_prime(value)
+
+
+@pytest.mark.parametrize("value", [None, 1j, [3]], ids=["None", "complex", "list"])
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        pytest.param(is_prime, "primality input", id="is_prime"),
+        pytest.param(lambda x: e0(x, 2), "vertex count", id="e0"),
+        pytest.param(paley, "Paley parameter", id="paley"),
+        pytest.param(cycle, "vertex count", id="cycle"),
+        pytest.param(splitmix64, "seed", id="splitmix64"),
+        pytest.param(lambda x: random_graph(5, x, 1), "edge count", id="random_graph"),
+    ],
+)
+def test_the_integer_rule_refuses_a_non_number_with_a_value_error(call, what, value):
+    # int(value) raises TypeError for these; the rule promises a ValueError
+    with pytest.raises(ValueError) as refused:
+        call(value)
+    assert str(refused.value) == f"{what} must be an integer, got {value}"
 
 
 def test_is_prime_rejects_out_of_range():

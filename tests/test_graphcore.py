@@ -337,6 +337,18 @@ def test_family_params_states_each_sweep_rule():
             family_params(family, 1, 5)
 
 
+@pytest.mark.parametrize("family", ["paley", "ring_of_cliques"])
+def test_family_params_reads_both_bounds_through_the_integer_rule(family):
+    assert list(family_params(family, 3.0, np.int64(30))) == list(family_params(family, 3, 30))
+    for lo, hi, message in (
+        (3.5, 30, "lower bound must be an integer, got 3.5"),
+        (3, 30.5, "upper bound must be an integer, got 30.5"),
+    ):
+        with pytest.raises(ValueError) as refused:
+            family_params(family, lo, hi)
+        assert str(refused.value) == message
+
+
 def test_family_corpus_refuses_a_family_it_has_no_sizes_for(monkeypatch):
     monkeypatch.setitem(graphcore.FAMILIES, "star", complete)
     with pytest.raises(ValueError, match="zip"):
@@ -356,6 +368,8 @@ def test_family_corpus_yields_family_param_and_graph_in_family_order():
     ]
     # each family's name is its builder's
     assert all(g == getattr(graphcore, family)(param) for family, param, g in corpus)
+    # integral float bounds give the same corpus
+    assert list(family_corpus(13.0, 4.0, (2,), (3,), (1,))) == corpus
 
 
 def test_paley_primes():
