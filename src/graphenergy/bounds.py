@@ -206,26 +206,30 @@ def ratio_table(family: str, params, use_closed_form: bool = False) -> list[Rati
     tolerances.MAX_DENSE_N as the row is computed, and once every row is
     in, each graph is built and solved for the row's energy, its ratio being
     that energy over the row's e0. The first invalid parameter, in input
-    order, aborts the whole table with an error naming it.
+    order, aborts the whole table with an error naming it; a ValueError of
+    the params iterable itself passes through unchanged.
     """
     if family not in _ROWS:
         raise ValueError(f"family must be one of {list(_ROWS)}, got {family!r}")
-    rows = []
-    try:
-        if use_closed_form and family == "ring_of_cliques":
-            # a row sums q^2 closed values: check every q, reading params once
-            checked = []
-            for param in params:
-                spectral.check_closed_ring_size(param)
-                checked.append(param)
-            params = checked
+    if use_closed_form and family == "ring_of_cliques":
+        # a row sums q^2 closed values: check every q, reading params once
+        checked = []
         for param in params:
+            try:
+                spectral.check_closed_ring_size(param)
+            except ValueError as exc:
+                raise ValueError(f"invalid {family} parameter {param}: {exc}") from None
+            checked.append(param)
+        params = checked
+    rows = []
+    for param in params:
+        try:
             row = _ROWS[family](param)
             if not use_closed_form:
                 check_dense_size(row.n)
-            rows.append(row)
-    except ValueError as exc:
-        raise ValueError(f"invalid {family} parameter {param}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"invalid {family} parameter {param}: {exc}") from None
+        rows.append(row)
     if not use_closed_form:
         for i, row in enumerate(rows):
             energy = spectral.energy(FAMILIES[family](row.param))

@@ -67,11 +67,16 @@ def is_prime(u: int) -> bool:
 
 def check_integer(x, what: str) -> int:
     """x as an int, if it is integral; otherwise (inf and NaN included) a
-    ValueError naming `what`, never a truncated value."""
-    try:
-        value = int(x)
-        if value == x:
-            return value
-    except (OverflowError, TypeError, ValueError):
-        pass
+    ValueError naming `what`, never a truncated value. A NumPy complex is
+    refused before int() drops its imaginary part, as a Python complex is
+    by int() itself."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, np.complexfloating):
+        try:
+            value = int(x)
+            if value == x:
+                return value
+        except (OverflowError, TypeError, ValueError):
+            pass
     raise ValueError(f"{what} must be an integer, got {x}")

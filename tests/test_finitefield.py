@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphenergy.bounds import e0
 from graphenergy.finitefield import FIELD_MODULUS_CAP, PRIMES, is_prime, primes_between
-from graphenergy.graphcore import check_paley_parameter, cycle, paley, random_graph, splitmix64
+from test_api import NON_NUMBER_ROWS, check_refusal
 
 
 def trial_division(u: int) -> bool:
@@ -119,35 +118,11 @@ def test_is_prime_rejects_strong_pseudoprimes_to_base_2(value):
 def test_is_prime_reads_its_input_through_the_integer_rule():
     assert is_prime(7.0) and is_prime(np.float64(13.0)) and is_prime(np.int64(13))
     assert not is_prime(9.0)
-    for value in (2.5, float("nan"), float("inf"), "7"):
-        with pytest.raises(ValueError, match=f"primality input must be an integer, got {value}"):
-            is_prime(value)
 
 
-@pytest.mark.parametrize("value", [None, 1j, [3]], ids=["None", "complex", "list"])
-@pytest.mark.parametrize(
-    "call, what",
-    [
-        pytest.param(is_prime, "primality input", id="is_prime"),
-        pytest.param(lambda x: e0(x, 2), "vertex count", id="e0"),
-        pytest.param(paley, "Paley parameter", id="paley"),
-        pytest.param(cycle, "vertex count", id="cycle"),
-        pytest.param(splitmix64, "seed", id="splitmix64"),
-        pytest.param(lambda x: random_graph(5, x, 1), "edge count", id="random_graph"),
-    ],
-)
-def test_the_integer_rule_refuses_a_non_number_with_a_value_error(call, what, value):
-    # int(value) raises TypeError for these; the rule promises a ValueError
-    with pytest.raises(ValueError) as refused:
-        call(value)
-    assert str(refused.value) == f"{what} must be an integer, got {value}"
-
-
-def test_is_prime_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        is_prime(-1)
-    with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*31\), got 2147483648"):
-        is_prime(2**31)
+@pytest.mark.parametrize("call, exc, message", NON_NUMBER_ROWS)
+def test_the_integer_rule_refuses_a_non_number_with_a_value_error(call, exc, message):
+    check_refusal(call, exc, message)
 
 
 @given(st.integers(min_value=0, max_value=FIELD_MODULUS_CAP - 1))
@@ -184,21 +159,6 @@ def test_primes_between_with_every_integer_as_base():
     for lo, hi in [(2, 5000), (4000, 9000), (10**6, 10**6 + 2000), (2**31 - 2000, 2**31 - 1)]:
         base = np.arange(2, math.isqrt(hi) + 1)
         assert primes_between(lo, hi, base).tolist() == primes_by_trial_division(lo, hi), (lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# prime modulus of the Paley field
-
-
-def test_prime_modulus_rejections():
-    for value in (12, 1, -7):
-        with pytest.raises(ValueError, match=f"Paley parameter must be prime, got {value}"):
-            check_paley_parameter(value)
-    # The range is checked before primality: composite, prime, and prime
-    # beyond is_prime's domain are all reported as too large.
-    for value in (FIELD_MODULUS_CAP, FIELD_MODULUS_CAP + 11, 2**61 - 1, 2**89 - 1):
-        with pytest.raises(ValueError, match="Paley parameter must be below 2\\*\\*31"):
-            check_paley_parameter(value)
 
 
 # ---------------------------------------------------------------------------

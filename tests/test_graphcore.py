@@ -29,6 +29,7 @@ from graphenergy.graphcore import (
     ring_of_cliques,
     splitmix64,
 )
+from test_api import DENSE_ROWS, check_refusal
 
 
 def path3() -> Graph:
@@ -43,8 +44,7 @@ def test_empty():
     assert (empty(0).n, empty(0).m) == (0, 0)
     assert (empty(1).n, empty(1).m) == (1, 0)
     assert (empty(5).n, empty(5).m) == (5, 0)
-    with pytest.raises(ValueError):
-        empty(-1)
+    assert check_dense_size(4096) == 4096  # the dense-size limit admits its own size
 
 
 def test_complete():
@@ -52,18 +52,12 @@ def test_complete():
     assert complete(3).m == 3
     k5 = complete(5)
     assert (k5.n, k5.m, k5.regularity()) == (5, 10, 4)
-    with pytest.raises(ValueError):
-        complete(0)
-    with pytest.raises(ValueError, match=r"^complete graph needs n >= 1, got -1$"):
-        complete(-1)
 
 
 def test_cycle():
     assert cycle(3) == complete(3)
     assert (cycle(4).n, cycle(4).m) == (4, 4)
     assert (cycle(5).m, cycle(5).regularity()) == (5, 2)
-    with pytest.raises(ValueError, match=r"^cycle needs n >= 3, got 2$"):
-        cycle(2)
 
 
 def test_from_edge_list():
@@ -74,42 +68,14 @@ def test_from_edge_list():
     assert from_edge_list(3, [(1, 0), (2, 1)]) == g
 
 
-def test_from_edge_list_distinct_errors():
-    with pytest.raises(ValueError, match="loop"):
-        from_edge_list(2, [(0, 0)])
-    with pytest.raises(ValueError, match="outside"):
-        from_edge_list(2, [(0, 5)])
-    with pytest.raises(ValueError, match="duplicate"):
-        from_edge_list(3, [(0, 1), (1, 0)])
-    # checked in this order: loop, then range, then duplicate
-    with pytest.raises(ValueError, match="loop"):
-        from_edge_list(2, [(5, 5)])
-    with pytest.raises(ValueError, match="outside"):
-        from_edge_list(2, [(0, 5), (0, 5)])
-    with pytest.raises(ValueError, match="duplicate"):
-        from_edge_list(3, [(0, 2), (1, 2), (2, 0)])
-
-
 def test_graph_constructor_validation():
-    with pytest.raises(ValueError, match="square"):
-        Graph(np.zeros((2, 3), dtype=bool))
-    with pytest.raises(ValueError, match="loops"):
-        Graph(np.eye(3, dtype=bool))
-    bad = np.zeros((2, 2), dtype=bool)
-    bad[0, 1] = True
-    with pytest.raises(ValueError, match="symmetric"):
-        Graph(bad)
-    # Only 0 and 1 are edges or non-edges; any other entry is rejected
-    # instead of being cast to True.
-    for entry in (np.nan, 2, 0.5):
-        with pytest.raises(ValueError, match="0 or 1"):
-            Graph([[0, entry], [entry, 0]])
+    # a 0/1 matrix of any dtype; its refusals are rows of tests/test_api.py
     assert Graph([[0, 1], [1, 0]]).m == Graph([[0.0, 1.0], [1.0, 0.0]]).m == 1
 
 
 def test_adjacency_is_read_only():
     g = complete(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^assignment destination is read-only$"):
         g.adjacency[0, 1] = False
 
 
@@ -123,26 +89,11 @@ def test_delete_edge():
     assert p.m == 2 and not p.adjacency[0, 1]
     p4 = delete_edge(cycle(4), (0, 1))
     assert p4.m == 3
-    with pytest.raises(ValueError, match="not in the graph"):
-        delete_edge(path3(), (0, 2))
-
-
-def test_endpoints_outside_the_graph_are_refused_not_wrapped():
-    # Negative indices would otherwise count from the end of the matrix.
-    with pytest.raises(ValueError, match=r"edge \(-1, 3\) has an endpoint outside 0\.\.4"):
-        delete_edge(cycle(5), (-1, 3))
-    with pytest.raises(ValueError, match=r"edge \(-5, -4\) has an endpoint outside 0\.\.4"):
-        delete_edge(cycle(5), (-5, -4))
 
 
 def test_edge_endpoints_must_be_integers_not_truncated():
-    # int() would read (0.5, 1) as the edge (0, 1) and "1" as the vertex 1
-    with pytest.raises(ValueError, match="edge endpoint must be an integer, got 0.5"):
-        delete_edge(cycle(5), (0.5, 1))
-    with pytest.raises(ValueError, match="edge endpoint must be an integer, got 0.7"):
-        from_edge_list(3, [(0.7, 1.2), ("1", "2")])
-    with pytest.raises(ValueError, match="edge endpoint must be an integer, got 1"):
-        from_edge_list(3, [("1", "2")])
+    # integral endpoints of any numeric type; int() would also read (0.5, 1)
+    # as the edge (0, 1) and "1" as the vertex 1, which are refused
     assert from_edge_list(3, [(np.int32(0), 1.0)]) == from_edge_list(3, [(0, 1)])
     assert delete_edge(cycle(5), (np.int64(1), 0)) == delete_edge(cycle(5), (0, 1))
 
@@ -184,15 +135,8 @@ def test_permute():
     assert rev == path3()  # path is symmetric under reversal
     rot = permute(cycle(5), [1, 2, 3, 4, 0])
     assert rot == cycle(5)
-    with pytest.raises(ValueError, match="permutation"):
-        permute(path3(), [0, 0, 2])
-
-
-def test_permute_refuses_non_integral_entries():
+    # integral entries of any numeric type
     assert permute(path3(), [np.int64(2), 1.0, 0]) == path3()
-    for perm in ([0.5, 1, 2], ["2", "0", "1"]):
-        with pytest.raises(ValueError, match="permutation entry must be an integer"):
-            permute(cycle(3), perm)
 
 
 # ---------------------------------------------------------------------------
@@ -234,77 +178,14 @@ def test_paley_17():
     assert (g.regularity(), g.m) == (8, 68)
 
 
-def test_paley_rejects_large_mersenne_prime_by_size():
-    # 2**89 - 1 is prime; the size limit is what rules it out.
-    with pytest.raises(ValueError, match="below 2\\*\\*31"):
-        paley(2**89 - 1)
-
-
-def test_paley_parameter_rejections():
-    with pytest.raises(ValueError, match="prime"):
-        paley(12)
-    with pytest.raises(ValueError, match="1 mod 4"):
-        paley(7)
-    with pytest.raises(ValueError, match="1 mod 4"):
-        paley(3)
-    with pytest.raises(ValueError, match="prime"):
-        paley(1)
-
-
-# Each of these exceeds MAX_DENSE_N = 4096 vertices and is refused before
-# its builder allocates; 4129 is the least valid Paley prime above 4096.
-OVERSIZED = {
-    "empty": lambda: empty(4097),
-    "complete": lambda: complete(4097),
-    "cycle": lambda: cycle(4097),
-    "from_edge_list": lambda: from_edge_list(4097, []),
-    "parse_edge_list": lambda: parse_edge_list("4097 0\n"),
-    "random_graph": lambda: random_graph(4097, 0, 0),
-    "paley": lambda: paley(4129),
-    "ring_of_cliques": lambda: ring_of_cliques(65),
-}
-
-
-@pytest.mark.parametrize("build", OVERSIZED.values(), ids=OVERSIZED.keys())
-def test_builders_refuse_graphs_above_the_dense_size_limit(build):
-    with pytest.raises(ValueError, match="exceeds the dense-size limit of 4096 vertices"):
-        build()
-
-
-def test_dense_size_limit_admits_its_own_size_and_keeps_parameter_messages():
-    check_dense_size(4096)
-    with pytest.raises(ValueError, match="must be prime"):
-        paley(4097 * 4099)
-    for build in (
-        lambda: empty(-5000), lambda: empty(-1), lambda: from_edge_list(-1, []),
-        lambda: random_graph(-1, 0, 0), lambda: check_dense_size(-1),
-    ):
-        with pytest.raises(ValueError, match="vertex count must be nonnegative, got -"):
-            build()
-
-
 def test_counts_are_read_as_integers_not_truncated():
-    # Integral values of any numeric type are read as ints ...
+    # integral values of any numeric type are read as ints
     assert empty(2.0) == empty(2)
     assert complete(3.0) == complete(3)
     assert cycle(np.int64(5)) == cycle(5)
     assert from_edge_list(3.0, [(0, 1)]) == from_edge_list(3, [(0, 1)])
     assert random_graph(np.int64(6), np.int64(3), 7) == random_graph(6, 3, 7)
     assert random_graph(6.0, 3.0, 7) == random_graph(6, 3, 7)
-    # ... and any other value is a ValueError naming the count, not a TypeError.
-    for build, what in (
-        (lambda: empty(2.5), "vertex count"),
-        (lambda: complete(3.5), "vertex count"),
-        (lambda: cycle(4.5), "vertex count"),
-        (lambda: complete("3"), "vertex count"),
-        (lambda: cycle("4"), "vertex count"),
-        (lambda: from_edge_list(3.5, []), "vertex count"),
-        (lambda: random_graph(5.5, 2, 0), "vertex count"),
-        (lambda: random_graph(5, 2.5, 0), "edge count"),
-        (lambda: check_dense_size(float("nan")), "vertex count"),
-    ):
-        with pytest.raises(ValueError, match=f"{what} must be an integer"):
-            build()
 
 
 def test_paley_translation_invariance():
@@ -328,30 +209,25 @@ def test_paley_memory_is_two_boolean_matrices():
     assert peak <= 4 * p * p
 
 
+@pytest.mark.parametrize("call, exc, message", DENSE_ROWS)
+def test_builders_refuse_graphs_above_the_dense_size_limit(call, exc, message):
+    check_refusal(call, exc, message)
+
+
 def test_family_params_states_each_sweep_rule():
     assert list(family_params("paley", 0, 30)) == paley_primes(0, 30) == [5, 13, 17, 29]
     assert family_params("ring_of_cliques", 0, 5) == range(3, 6)
     assert family_params("ring_of_cliques", 7, 6) == range(7, 7)
-    for family in ("complete", "bogus"):
-        with pytest.raises(ValueError, match="only paley and ring_of_cliques"):
-            family_params(family, 1, 5)
 
 
 @pytest.mark.parametrize("family", ["paley", "ring_of_cliques"])
 def test_family_params_reads_both_bounds_through_the_integer_rule(family):
     assert list(family_params(family, 3.0, np.int64(30))) == list(family_params(family, 3, 30))
-    for lo, hi, message in (
-        (3.5, 30, "lower bound must be an integer, got 3.5"),
-        (3, 30.5, "upper bound must be an integer, got 30.5"),
-    ):
-        with pytest.raises(ValueError) as refused:
-            family_params(family, lo, hi)
-        assert str(refused.value) == message
 
 
 def test_family_corpus_refuses_a_family_it_has_no_sizes_for(monkeypatch):
     monkeypatch.setitem(graphcore.FAMILIES, "star", complete)
-    with pytest.raises(ValueError, match="zip"):
+    with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is shorter than argument 1$"):
         list(family_corpus(5, 3, (), ()))
 
 
@@ -377,9 +253,6 @@ def test_paley_primes():
     assert paley_primes(14, 16) == []
     assert paley_primes(0, 13) == [5, 13]
     assert paley_primes(5.0, np.int64(20)) == [5, 13, 17]
-    for lo, hi, what in ((5.5, 20, "lower bound"), (5, "20", "upper bound")):
-        with pytest.raises(ValueError, match=f"{what} must be an integer"):
-            paley_primes(lo, hi)
 
 
 def test_paley_primes_stop_below_field_cap():
@@ -458,8 +331,6 @@ def test_ring_of_cliques_small():
     assert (g.n, g.m, g.regularity()) == (9, 18, 4)
     g4 = ring_of_cliques(4)
     assert (g4.n, g4.m, g4.regularity()) == (16, 40, 5)
-    with pytest.raises(ValueError, match="q >= 3"):
-        ring_of_cliques(2)
 
 
 def test_ring_of_cliques_structure():
@@ -493,12 +364,6 @@ def test_splitmix64_reference_vector():
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
     ]
-    # The seed is checked at the call, before the stream is read.
-    for bad_seed in (-1, 2**64):
-        with pytest.raises(ValueError, match="seed"):
-            splitmix64(bad_seed)
-    with pytest.raises(ValueError, match="seed"):
-        random_graph(3, 0, -1)
 
 
 def test_splitmix64_reads_numpy_seeds_and_refuses_non_integral_ones():
@@ -510,10 +375,6 @@ def test_splitmix64_reads_numpy_seeds_and_refuses_non_integral_ones():
         assert head(seed) == head(5)
     assert head(np.uint64(2**64 - 1)) == head(2**64 - 1)
     assert random_graph(6, 3, np.int64(7)) == random_graph(6, 3, 7)
-    # A non-integral seed raises at the call, before the stream is read.
-    for bad_seed in (1.5, float("nan"), "5"):
-        with pytest.raises(ValueError, match="seed must be an integer"):
-            splitmix64(bad_seed)
 
 
 def test_random_graph_determinism():
@@ -534,8 +395,6 @@ def test_random_graph_edge_count_and_bounds():
     for seed in range(5):
         g = random_graph(8, 11, seed=seed)
         assert (g.n, g.m) == (8, 11)
-    with pytest.raises(ValueError):
-        random_graph(4, 7, seed=0)
 
 
 def random_graph_from_pair_list(n, m, seed):
@@ -609,29 +468,6 @@ def test_parse_edge_list_roundtrip():
 def test_parse_edge_list_comments_and_blanks():
     text = "# a comment\n\n3 2\n0 1\n# another\n1 2\n"
     assert parse_edge_list(text) == path3()
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("", "empty"),
-        ("3\n", "header"),
-        ("3 2\n0 1\n", "announces 2 edges"),
-        ("3 1\n0 1\n1 2\n", "announces 1 edges"),
-        ("3 1\n1 0\n", "u < v"),
-        ("3 1\n1 1\n", "u < v"),
-        ("3 1\n0 7\n", "outside"),
-        ("3 1\nx y\n", "integer"),
-        ("3 1\n0 1 2\n", "`u v`"),
-        ("-1 0\n", "nonnegative"),
-        ("1_0 0\n", "vertex count must be an integer"),
-        ("+3 0\n", "vertex count must be an integer"),
-        ("\u0663 0\n", "vertex count must be an integer"),
-    ],
-)
-def test_parse_edge_list_errors(text, message):
-    with pytest.raises(ValueError, match=message):
-        parse_edge_list(text)
 
 
 def test_write_read_files(tmp_path):
