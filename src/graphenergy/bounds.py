@@ -7,8 +7,11 @@ ratio sweep tables, and the randomized/corpus verification suites.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
+
+import numpy as np
 
 from . import spectral
 from . import tolerances as tol
@@ -50,6 +53,11 @@ def e0(n: int, k: int) -> float:
         raise ValueError(f"vertex count must be at least 1, got {n}")
     if k < 0 or k > n - 1:
         raise ValueError(f"regular degree must be in 0..{n - 1} for n={n}, got {k}")
+    return _e0(n, k)
+
+
+def _e0(n: int, k: int) -> float:
+    # Python ints: the product is exact, and rounded once by the sqrt
     return k + math.sqrt(k * (n - 1) * (n - k))
 
 
@@ -108,7 +116,7 @@ def paley_energy_closed(p) -> float:
 
 def paley_ratio_lower(p) -> float:
     """Crude lower bound sqrt(p)/(sqrt(p) + 2) on the Paley energy ratio."""
-    return _paley_row(p).paper_bound
+    return _paley_ratios(check_paley_parameter(p), math.sqrt)[1]
 
 
 def paley_ratio_closed(p) -> float:
@@ -118,7 +126,18 @@ def paley_ratio_closed(p) -> float:
     collapses to this two-radical form; it lies strictly between the crude
     chain bound and 1.
     """
-    return _paley_row(p).closed_ratio
+    return _paley_ratios(check_paley_parameter(p), math.sqrt)[0]
+
+
+def _paley_ratios(p, sqrt):
+    # a checked p: an int with math.sqrt, or an int64 column with np.sqrt, the same IEEE operations
+    root = sqrt(p)
+    closed_ratio = (1.0 + root) / (1.0 + sqrt(p + 1))
+    paper_bound = root / (root + 2.0)
+    inside = (paper_bound < closed_ratio) & (closed_ratio < 1.0)
+    if not (inside if isinstance(inside, bool) else inside.all()):
+        raise ArithmeticError("ratio left its proven bracket")
+    return closed_ratio, paper_bound
 
 
 def ring_clique_energy_closed(q: int) -> float:
@@ -168,19 +187,18 @@ class RatioRow(NamedTuple):
     paper_bound: float
 
 
-# Each closed-form energy call below checks its parameter: int() after it is exact.
-def _paley_row(p) -> RatioRow:
-    energy = paley_energy_closed(p)
-    p = int(p)
+_BLOCK = 1024  # rows of a closed table computed at a time
+
+
+def _paley_rows(block: list) -> list[RatioRow]:
+    # each energy call checks its p once: int() after it is exact
+    energy = np.array(list(map(paley_energy_closed, block)))
+    p = np.array([int(x) for x in block], dtype=np.int64)
     k = (p - 1) // 2
-    bound = e0(p, k)
-    root = math.sqrt(p)
-    closed_ratio = (1.0 + root) / (1.0 + math.sqrt(p + 1))
-    paper_bound = root / (root + 2.0)
-    if not paper_bound < closed_ratio < 1.0:
-        raise ArithmeticError("ratio left its proven bracket")
-    ratio = energy / bound
-    return RatioRow("paley", p, p, k, p * k // 2, energy, bound, ratio, closed_ratio, paper_bound)
+    bound = np.array(list(map(_e0, p.tolist(), k.tolist())))
+    closed_ratio, paper_bound = _paley_ratios(p, np.sqrt)
+    columns = (p, p, k, p * k // 2, energy, bound, energy / bound, closed_ratio, paper_bound)
+    return list(map(RatioRow._make, zip(itertools.repeat("paley"), *(c.tolist() for c in columns))))
 
 
 def _ring_row(q) -> RatioRow:
@@ -192,25 +210,43 @@ def _ring_row(q) -> RatioRow:
     return RatioRow("ring_of_cliques", q, n, k, n * k // 2, energy, bound, ratio, ratio, upper)
 
 
-_ROWS = {"paley": _paley_row, "ring_of_cliques": _ring_row}
+# family -> the closed rows of a block of its parameters
+_ROWS = {"paley": _paley_rows, "ring_of_cliques": lambda block: list(map(_ring_row, block))}
 
 
-def ratio_table(family: str, params, use_closed_form: bool = False) -> list[RatioRow]:
-    """One RatioRow per parameter, in input order.
+def _closed_rows(family: str, block: list) -> list[RatioRow]:
+    try:
+        return _ROWS[family](block)
+    except ValueError as exc:
+        if len(block) > 1:  # read again one at a time, to name the first refused parameter
+            for param in block:
+                _closed_rows(family, [param])
+        raise ValueError(f"invalid {family} parameter {block[0]}: {exc}") from None
+
+
+def ratio_table(family: str, params, use_closed_form: bool = False) -> Iterator[RatioRow]:
+    """An iterator of one RatioRow per parameter, in input order.
 
     family is "paley" or "ring_of_cliques", a key of _ROWS, which holds its
-    closed-form row function, and of graphcore.FAMILIES. Every row is first
-    computed in closed form, which checks its parameter; a closed ring table
-    checks every q against the closed spectrum's cap before the first row.
+    closed-form rows, and of graphcore.FAMILIES; it is checked at once, the
+    params only as rows are asked for. Every row is first computed in closed
+    form, which checks its parameter. Closed mode computes _BLOCK rows at a
+    time and yields them, so its memory does not grow with the table; a
+    closed ring table checks every q against the closed spectrum's cap first.
     Without use_closed_form each row's graph is also checked against
-    tolerances.MAX_DENSE_N as the row is computed, and once every row is
-    in, each graph is built and solved for the row's energy, its ratio being
-    that energy over the row's e0. The first invalid parameter, in input
-    order, aborts the whole table with an error naming it; a ValueError of
-    the params iterable itself passes through unchanged.
+    tolerances.MAX_DENSE_N as the row is computed, and once every row is in,
+    each graph is built and solved for the row's energy, its ratio being that
+    energy over the row's e0, before the first row is yielded. The first
+    invalid parameter, in input order, raises an error naming it, in closed
+    mode after the rows of the blocks before its own; a ValueError of the
+    params iterable itself passes through unchanged.
     """
     if family not in _ROWS:
         raise ValueError(f"family must be one of {list(_ROWS)}, got {family!r}")
+    return _table(family, iter(params), use_closed_form)
+
+
+def _table(family: str, params: Iterator, use_closed_form: bool) -> Iterator[RatioRow]:
     if use_closed_form and family == "ring_of_cliques":
         # a row sums q^2 closed values: check every q, reading params once
         checked = []
@@ -220,21 +256,23 @@ def ratio_table(family: str, params, use_closed_form: bool = False) -> list[Rati
             except ValueError as exc:
                 raise ValueError(f"invalid {family} parameter {param}: {exc}") from None
             checked.append(param)
-        params = checked
+        params = iter(checked)
+    if use_closed_form:
+        while block := list(itertools.islice(params, _BLOCK)):
+            yield from _closed_rows(family, block)
+        return
     rows = []
     for param in params:
+        (row,) = _closed_rows(family, [param])
         try:
-            row = _ROWS[family](param)
-            if not use_closed_form:
-                check_dense_size(row.n)
+            check_dense_size(row.n)
         except ValueError as exc:
             raise ValueError(f"invalid {family} parameter {param}: {exc}") from None
         rows.append(row)
-    if not use_closed_form:
-        for i, row in enumerate(rows):
-            energy = spectral.energy(FAMILIES[family](row.param))
-            rows[i] = row._replace(energy=energy, ratio=energy / row.e0)
-    return rows
+    for i, row in enumerate(rows):
+        energy = spectral.energy(FAMILIES[family](row.param))
+        rows[i] = row._replace(energy=energy, ratio=energy / row.e0)
+    yield from rows
 
 
 # ---------------------------------------------------------------------------

@@ -111,9 +111,11 @@ def _cmd_ratio_table(args) -> int:
     # read lazily: a refused parameter stops the Paley sieve where it stands
     params = graphcore.family_params(family, lo, hi)
     rows = bounds.ratio_table(family, params, use_closed_form=(args.mode == "closed"))
-    if not rows:
+    # the first row before the header: a refused or empty table writes nothing
+    first = next(rows, None)
+    if first is None:
         raise ValueError(f"no valid {args.family} parameters in {lo}..{hi}")
-    lines = (_ROW_FORMAT % row + "\n" for row in rows)
+    lines = (_ROW_FORMAT % row + "\n" for row in itertools.chain([first], rows))
     _emit(itertools.chain([CSV_HEADER + "\n"], lines), args.out)
     return EXIT_OK
 

@@ -156,6 +156,11 @@ ROWS = [
         "ci", "ratio-table paley 2146435073..2147483647 --mode closed", 0,
         "e4ca038c96e26648d6845f1f24f118fceba67154aa073f7a2d5d1777baefb17e", "",
     ),
+    # a window across p = 3329021, the last p whose e0 product k(p-1)(p-k) int64 holds
+    Row(
+        "tier1", "ratio-table paley 3320000..3340000 --mode closed", 0,
+        "be87a7ad126dccf17204e02eb86997988db25a116965790b2e66ce5984c78a20", "",
+    ),
     # the last valid p lies below the field cap 2**31; a window above it is empty
     Row(
         "tier1", "ratio-table paley 2147483000..2147484000 --mode closed", 0,

@@ -147,14 +147,14 @@ FAMILY_ENTRY_POINTS = {
     "paley_spectrum_closed": (lambda p: paley_spectrum_closed(p).tolist(), 13, PALEY_INT),
     "paley_energy_closed": (paley_energy_closed, 13, PALEY_INT),
     "ratio_table paley": (
-        lambda p: ratio_table("paley", [p]), 13, invalid("paley", "{0}", PALEY_INT)
+        lambda p: list(ratio_table("paley", [p])), 13, invalid("paley", "{0}", PALEY_INT)
     ),
     "ring_of_cliques": (ring_of_cliques, 3, RING_INT),
     "ring_clique_spectrum_closed": (lambda q: ring_clique_spectrum_closed(q).tolist(), 3, RING_INT),
     "ring_clique_energy_closed": (ring_clique_energy_closed, 3, RING_INT),
     "ring_clique_energy_upper": (ring_clique_energy_upper, 3, RING_INT),
     "ratio_table ring_of_cliques": (
-        lambda q: ratio_table(RING, [q]), 3, invalid(RING, "{0}", RING_INT)
+        lambda q: list(ratio_table(RING, [q])), 3, invalid(RING, "{0}", RING_INT)
     ),
 }
 # Each other reader of an integer: its call, what its refusal names, and the
@@ -202,9 +202,13 @@ NO_SWEEP = "no sweep rule for family {!r}: only paley and ring_of_cliques"
 DEGREE = "regular degree must be in 0..4 for n=5, got {}"
 NO_VERTEX = "spectrum needs at least one vertex"
 
-# ratio tables name the first invalid parameter in input order:
+# ratio tables name the first invalid parameter in input order, when the
+# rows are read (list() reads them):
 # (id, family, params, use_closed_form, the parameter named, its own refusal)
 TABLES = [
+    # a closed Paley block is checked as a whole, then read again to name its first refusal
+    ("closed-paley-12", "paley", [13, 17, 12, 7], True, 12, NOT_PRIME.format(12)),
+    ("closed-paley-7", "paley", [5, 7, 12], True, 7, NOT_1_MOD_4.format(7)),
     ("paley-12", "paley", [13, 12], False, 12, NOT_PRIME.format(12)),
     ("ring-2", RING, [3, 2], False, 2, SMALL_Q.format(2)),
     ("paley-dense", "paley", [13, 17, 4129], False, 4129, DENSE.format(4129)),
@@ -408,19 +412,21 @@ ROWS = [
         "family must be one of ['paley', 'ring_of_cliques'], got 'nonsense'",
     ),
     *(
-        refusal(f"ratio_table-{key}", lambda f=f, p=p, c=c: ratio_table(f, p, c),
+        refusal(f"ratio_table-{key}", lambda f=f, p=p, c=c: list(ratio_table(f, p, c)),
                 invalid(f, bad, message))
         for key, f, p, c, bad, message in TABLES
     ),
-    refusal("ratio_table-iterator", lambda: ratio_table(RING, iter([3, 65])),
+    refusal("ratio_table-iterator", lambda: list(ratio_table(RING, iter([3, 65]))),
             invalid(RING, 65, DENSE.format(4225))),
     # the params iterable's own error is not blamed on a parameter
-    refusal("ratio_table-iterable-raises-first", lambda: ratio_table("paley", raising_after()),
-            "boom"),
-    refusal("ratio_table-iterable-raises-after-13", lambda: ratio_table("paley", raising_after(13)),
-            "boom"),
-    refusal("ratio_table-closed-iterable-raises", lambda: ratio_table(RING, raising_after(3), True),
-            "boom"),
+    *(
+        refusal(f"ratio_table-{key}", lambda f=f, p=p, c=c: list(ratio_table(f, p(), c)), "boom")
+        for key, f, p, c in [
+            ("iterable-raises-first", "paley", raising_after, False),
+            ("iterable-raises-after-13", "paley", lambda: raising_after(13), False),
+            ("closed-iterable-raises", RING, lambda: raising_after(3), True),
+        ]
+    ),
     # graphs and edges
     refusal("Graph-not-square", lambda: Graph(np.zeros((2, 3))),
             "adjacency must be square, got shape (2, 3)"),

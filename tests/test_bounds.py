@@ -1,6 +1,7 @@
 """Bound evaluation, closed forms, chain inequalities, and ratio tables."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from graphenergy.bounds import (
 from graphenergy.graphcore import (
     complete,
     delete_edge,
+    family_params,
     from_edge_list,
     paley,
     paley_primes,
@@ -154,6 +156,17 @@ def test_paley_energy_closed_values():
     assert paley_energy_closed(17) == pytest.approx(40.984845004941285, abs=1e-12)
 
 
+def test_scalar_paley_closed_forms_build_no_block(monkeypatch):
+    # a scalar call is Python-float arithmetic: no numpy array, no block of rows
+    calls = ("paley_energy_closed", "paley_ratio_closed", "paley_ratio_lower")
+    want = {name: getattr(bounds, name)(401) for name in calls}
+    monkeypatch.setattr(bounds, "np", None)
+    monkeypatch.setattr(bounds, "_paley_rows", None)
+    for name in calls:
+        got = getattr(bounds, name)(401)
+        assert type(got) is float and got == want[name], name
+
+
 def test_paley_energy_closed_matches_eigensolver():
     for p in (5, 13, 17, 29):
         assert paley_energy_closed(p) == pytest.approx(energy(paley(p)), abs=1e-8)
@@ -235,8 +248,8 @@ def test_ring_clique_ratio_upper_checks_the_e0_estimate(monkeypatch):
 
 
 def test_ratio_table_paley_modes_agree():
-    numeric = ratio_table("paley", [13], use_closed_form=False)[0]
-    closed = ratio_table("paley", [13], use_closed_form=True)[0]
+    numeric = list(ratio_table("paley", [13], use_closed_form=False))[0]
+    closed = list(ratio_table("paley", [13], use_closed_form=True))[0]
     assert numeric.ratio == pytest.approx(closed.ratio, abs=tol.CLOSED_SPECTRUM_TOL)
     assert numeric.energy == pytest.approx(closed.energy, abs=1e-6)
     assert (numeric.n, numeric.k, numeric.m) == (closed.n, closed.k, closed.m) == (13, 6, 39)
@@ -245,7 +258,7 @@ def test_ratio_table_paley_modes_agree():
 def test_ratio_table_modes_agree_across_families():
     # numeric mode replaces only the closed row's energy and ratio
     for family, params in (("paley", [5, 13, 17]), ("ring_of_cliques", [3, 4, 5])):
-        closed_rows = ratio_table(family, params, use_closed_form=True)
+        closed_rows = list(ratio_table(family, params, use_closed_form=True))
         for numeric, closed in zip(ratio_table(family, params), closed_rows, strict=True):
             assert numeric.ratio == pytest.approx(closed.ratio, abs=tol.CLOSED_SPECTRUM_TOL)
             assert numeric.ratio == numeric.energy / numeric.e0
@@ -261,8 +274,8 @@ def test_ratio_table_ring_3_closed():
 
 
 def test_ratio_table_row_fields_are_consistent():
-    rows = ratio_table("paley", [5, 13, 17], use_closed_form=True)
-    rows += ratio_table("ring_of_cliques", [3, 4, 5], use_closed_form=True)
+    rows = list(ratio_table("paley", [5, 13, 17], use_closed_form=True))
+    rows += list(ratio_table("ring_of_cliques", [3, 4, 5], use_closed_form=True))
     for row in rows:
         assert row.ratio == row.energy / row.e0
         assert 0.0 < row.ratio <= 1.0 + tol.BOUND_SLACK
@@ -283,11 +296,11 @@ def test_ratio_table_numeric_checks_every_size_before_the_first_solve(solve_coun
         ("ring_of_cliques", [2, 65]),
     ):
         with pytest.raises(ValueError):
-            ratio_table(family, params)
+            list(ratio_table(family, params))
     assert solve_counter == []
     # closed mode builds no graph, so the dense-size limit does not apply; a
     # ring row's closed spectrum has q^2 values, so q is capped at MAX_DENSE_N
-    assert ratio_table("ring_of_cliques", [65], use_closed_form=True)[0].n == 4225
+    assert list(ratio_table("ring_of_cliques", [65], use_closed_form=True))[0].n == 4225
 
 
 def test_ratio_table_numeric_stops_at_the_first_oversized_row(solve_counter, monkeypatch):
@@ -300,7 +313,7 @@ def test_ratio_table_numeric_stops_at_the_first_oversized_row(solve_counter, mon
 
     monkeypatch.setattr(bounds, "ring_clique_energy_closed", counting_closed)
     with pytest.raises(ValueError):  # its message: a row of tests/test_api.py
-        ratio_table("ring_of_cliques", range(3, 1001))
+        list(ratio_table("ring_of_cliques", range(3, 1001)))
     assert calls == list(range(3, 66))
     assert solve_counter == []
 
@@ -317,7 +330,7 @@ def test_ratio_table_closed_checks_every_ring_before_the_first_row(monkeypatch):
     # each message is a row of tests/test_api.py
     for params in (range(3, 5001), [2, 5000], [5000, 2]):
         with pytest.raises(ValueError):
-            ratio_table("ring_of_cliques", params, use_closed_form=True)
+            list(ratio_table("ring_of_cliques", params, use_closed_form=True))
     assert calls == []
     # a one-shot iterator is read once: its rows are still computed
     rows = ratio_table("ring_of_cliques", iter([3, 4]), use_closed_form=True)
@@ -334,11 +347,11 @@ def test_paley_ratio_row_checks_its_prime_once(monkeypatch):
         return check(p)
 
     monkeypatch.setattr(bounds, "check_paley_parameter", counting_check)
-    ratio_table("paley", [13, 17], use_closed_form=True)
+    list(ratio_table("paley", [13, 17], use_closed_form=True))
     assert calls == [13, 17]
     # numeric mode checks through the same closed rows, with no pre-check of its own
     calls.clear()
-    ratio_table("paley", [13, 17])
+    list(ratio_table("paley", [13, 17]))
     assert calls == [13, 17]
 
 
@@ -352,11 +365,54 @@ def test_ring_ratio_row_checks_its_parameter_once(monkeypatch):
         return check(q)
 
     monkeypatch.setattr(bounds, "check_ring_parameter", counting_check)
-    ratio_table("ring_of_cliques", [3, 4], use_closed_form=True)
+    list(ratio_table("ring_of_cliques", [3, 4], use_closed_form=True))
     assert calls == [3, 4]
     calls.clear()
-    ratio_table("ring_of_cliques", [3, 4])
+    list(ratio_table("ring_of_cliques", [3, 4]))
     assert calls == [3, 4]
+
+
+def test_ratio_table_computes_nothing_before_its_first_row_is_read():
+    # one block of rows, about 1.0 MiB; the whole domain below 2**31 holds about
+    # 52M rows, about 19 GB as a list
+    params = family_params("paley", 5, 2**31 - 1)
+    tracemalloc.start()
+    try:
+        row = next(iter(ratio_table("paley", params, use_closed_form=True)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row == list(ratio_table("paley", [5], use_closed_form=True))[0]
+    assert peak < 2 * 2**20
+
+
+# consecutive Paley parameters beside 3329021, the last p whose e0 product
+# k(p-1)(p-k) int64 holds (an e0 column taken in int64 goes wrong above it),
+# and the last valid ones below 2**31
+INT64_EDGE = [3328961, 3328993, 3329033, 3329041]
+TOP = paley_primes(2147483000, 2**31 - 1)
+BLOCKS = {
+    "int64": INT64_EDGE[:2],
+    "across-int64": INT64_EDGE,
+    "above-int64": INT64_EDGE[2:],
+    "top": TOP,
+    "5-and-top": [5, *TOP],
+}
+
+
+@pytest.mark.parametrize("block", BLOCKS.values(), ids=BLOCKS)
+def test_paley_block_rows_equal_the_scalar_closed_forms(block):
+    for row, p in zip(list(ratio_table("paley", block, use_closed_form=True)), block, strict=True):
+        k = (p - 1) // 2
+        root = math.sqrt(p)
+        # the public scalar functions, and the formulas they stand for, in Python floats
+        assert row.energy == paley_energy_closed(p) == (p - 1) * (1.0 + root) / 2.0
+        assert row.e0 == e0(p, k) == k + math.sqrt(k * (p - 1) * (p - k))
+        assert row.closed_ratio == paley_ratio_closed(p) == (1.0 + root) / (1.0 + math.sqrt(p + 1))
+        assert row.paper_bound == paley_ratio_lower(p) == root / (root + 2.0)
+        assert row.ratio == row.energy / row.e0
+        assert row[:5] == ("paley", p, p, k, p * k // 2)
+        assert all(type(x) is int for x in row[1:5]) and all(type(x) is float for x in row[5:])
 
 
 def test_paley_rows_carry_chain_bound():
