@@ -190,19 +190,28 @@ class RatioRow(NamedTuple):
 _BLOCK = 1024  # rows of a closed table computed at a time
 
 
-def _paley_rows(block: list) -> list[RatioRow]:
-    # each energy call checks its p once: int() after it is exact
-    energy = np.array(list(map(paley_energy_closed, block)))
+def _named(family: str, fn, params) -> Iterator:
+    """fn(param) for each of params, in order, a ValueError of fn raised again naming its param."""
+    for param in params:
+        try:
+            value = fn(param)
+        except ValueError as exc:
+            raise ValueError(f"invalid {family} parameter {param}: {exc}") from None
+        yield value
+
+
+def _paley_rows(block: list, energy: list) -> list[RatioRow]:
+    # each energy call checked its p once: int() after it is exact
     p = np.array([int(x) for x in block], dtype=np.int64)
     k = (p - 1) // 2
     bound = np.array(list(map(_e0, p.tolist(), k.tolist())))
+    energy = np.array(energy)
     closed_ratio, paper_bound = _paley_ratios(p, np.sqrt)
     columns = (p, p, k, p * k // 2, energy, bound, energy / bound, closed_ratio, paper_bound)
     return list(map(RatioRow._make, zip(itertools.repeat("paley"), *(c.tolist() for c in columns))))
 
 
-def _ring_row(q) -> RatioRow:
-    energy = ring_clique_energy_closed(q)
+def _ring_row(q, energy: float) -> RatioRow:
     q = int(q)
     n, k = q * q, q + 1
     bound = e0(n, k)
@@ -210,18 +219,8 @@ def _ring_row(q) -> RatioRow:
     return RatioRow("ring_of_cliques", q, n, k, n * k // 2, energy, bound, ratio, ratio, upper)
 
 
-# family -> the closed rows of a block of its parameters
-_ROWS = {"paley": _paley_rows, "ring_of_cliques": lambda block: list(map(_ring_row, block))}
-
-
-def _closed_rows(family: str, block: list) -> list[RatioRow]:
-    try:
-        return _ROWS[family](block)
-    except ValueError as exc:
-        if len(block) > 1:  # read again one at a time, to name the first refused parameter
-            for param in block:
-                _closed_rows(family, [param])
-        raise ValueError(f"invalid {family} parameter {block[0]}: {exc}") from None
+# family -> the closed rows of a block of checked parameters and their energies
+_ROWS = {"paley": _paley_rows, "ring_of_cliques": lambda qs, en: list(map(_ring_row, qs, en))}
 
 
 def ratio_table(family: str, params, use_closed_form: bool = False) -> Iterator[RatioRow]:
@@ -247,28 +246,21 @@ def ratio_table(family: str, params, use_closed_form: bool = False) -> Iterator[
 
 
 def _table(family: str, params: Iterator, use_closed_form: bool) -> Iterator[RatioRow]:
+    # the closed energy checks a parameter
+    closed_energy = paley_energy_closed if family == "paley" else ring_clique_energy_closed
     if use_closed_form and family == "ring_of_cliques":
         # a row sums q^2 closed values: check every q, reading params once
-        checked = []
-        for param in params:
-            try:
-                spectral.check_closed_ring_size(param)
-            except ValueError as exc:
-                raise ValueError(f"invalid {family} parameter {param}: {exc}") from None
-            checked.append(param)
-        params = iter(checked)
+        params = iter(list(_named(family, spectral.check_closed_ring_size, params)))
     if use_closed_form:
         while block := list(itertools.islice(params, _BLOCK)):
-            yield from _closed_rows(family, block)
+            yield from _ROWS[family](block, list(_named(family, closed_energy, block)))
         return
-    rows = []
-    for param in params:
-        (row,) = _closed_rows(family, [param])
-        try:
-            check_dense_size(row.n)
-        except ValueError as exc:
-            raise ValueError(f"invalid {family} parameter {param}: {exc}") from None
-        rows.append(row)
+
+    def numeric_row(param):
+        (row,) = _ROWS[family]([param], [closed_energy(param)])
+        check_dense_size(row.n)
+        return row
+    rows = list(_named(family, numeric_row, params))
     for i, row in enumerate(rows):
         energy = spectral.energy(FAMILIES[family](row.param))
         rows[i] = row._replace(energy=energy, ratio=energy / row.e0)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from graphenergy import bounds, spectral
 from graphenergy import tolerances as tol
 from graphenergy.bounds import (
-    bounds_suite,
     e0,
     edge_deletion_check,
     energy_report,
@@ -286,92 +285,6 @@ def test_ratio_table_preserves_input_order():
     assert [row.param for row in rows] == [17, 5, 13]
 
 
-def test_ratio_table_numeric_checks_every_size_before_the_first_solve(solve_counter):
-    # each message, naming the first bad parameter, is a row of tests/test_api.py
-    for family, params in (
-        ("paley", [13, 17, 4129]),
-        ("ring_of_cliques", iter([3, 65])),
-        ("paley", [13, 12]),
-        ("ring_of_cliques", [65, 2]),
-        ("ring_of_cliques", [2, 65]),
-    ):
-        with pytest.raises(ValueError):
-            list(ratio_table(family, params))
-    assert solve_counter == []
-    # closed mode builds no graph, so the dense-size limit does not apply; a
-    # ring row's closed spectrum has q^2 values, so q is capped at MAX_DENSE_N
-    assert list(ratio_table("ring_of_cliques", [65], use_closed_form=True))[0].n == 4225
-
-
-def test_ratio_table_numeric_stops_at_the_first_oversized_row(solve_counter, monkeypatch):
-    calls = []
-    closed = bounds.ring_clique_energy_closed
-
-    def counting_closed(q):
-        calls.append(q)
-        return closed(q)
-
-    monkeypatch.setattr(bounds, "ring_clique_energy_closed", counting_closed)
-    with pytest.raises(ValueError):  # its message: a row of tests/test_api.py
-        list(ratio_table("ring_of_cliques", range(3, 1001)))
-    assert calls == list(range(3, 66))
-    assert solve_counter == []
-
-
-def test_ratio_table_closed_checks_every_ring_before_the_first_row(monkeypatch):
-    calls = []
-    closed = bounds.ring_clique_energy_closed
-
-    def counting_closed(q):
-        calls.append(q)
-        return closed(q)
-
-    monkeypatch.setattr(bounds, "ring_clique_energy_closed", counting_closed)
-    # each message is a row of tests/test_api.py
-    for params in (range(3, 5001), [2, 5000], [5000, 2]):
-        with pytest.raises(ValueError):
-            list(ratio_table("ring_of_cliques", params, use_closed_form=True))
-    assert calls == []
-    # a one-shot iterator is read once: its rows are still computed
-    rows = ratio_table("ring_of_cliques", iter([3, 4]), use_closed_form=True)
-    assert [row.param for row in rows] == calls == [3, 4]
-
-
-def test_paley_ratio_row_checks_its_prime_once(monkeypatch):
-    # paley_energy_closed checks it; the row's ratio and bound reuse the value
-    calls = []
-    check = bounds.check_paley_parameter
-
-    def counting_check(p):
-        calls.append(p)
-        return check(p)
-
-    monkeypatch.setattr(bounds, "check_paley_parameter", counting_check)
-    list(ratio_table("paley", [13, 17], use_closed_form=True))
-    assert calls == [13, 17]
-    # numeric mode checks through the same closed rows, with no pre-check of its own
-    calls.clear()
-    list(ratio_table("paley", [13, 17]))
-    assert calls == [13, 17]
-
-
-def test_ring_ratio_row_checks_its_parameter_once(monkeypatch):
-    # ring_clique_energy_upper checks it; the ratio bound reuses the value
-    calls = []
-    check = bounds.check_ring_parameter
-
-    def counting_check(q):
-        calls.append(q)
-        return check(q)
-
-    monkeypatch.setattr(bounds, "check_ring_parameter", counting_check)
-    list(ratio_table("ring_of_cliques", [3, 4], use_closed_form=True))
-    assert calls == [3, 4]
-    calls.clear()
-    list(ratio_table("ring_of_cliques", [3, 4]))
-    assert calls == [3, 4]
-
-
 def test_ratio_table_computes_nothing_before_its_first_row_is_read():
     # one block of rows, about 1.0 MiB; the whole domain below 2**31 holds about
     # 52M rows, about 19 GB as a list
@@ -444,85 +357,8 @@ def test_lemma_suite_passes():
     assert result.passed == result.total == 30
 
 
-def test_lemma_suite_solves_each_distinct_matrix_once(monkeypatch):
-    calls = []
-    real = spectral.jacobi_eigenvalues
-
-    def counting_solve(matrix, sizes=None):
-        calls.extend([len(matrix)] if sizes is None else sizes)
-        return real(matrix, sizes)
-
-    monkeypatch.setattr("graphenergy.spectral.jacobi_eigenvalues", counting_solve)
-    # 25 graphs G and 25 graphs G - e hold 44 distinct matrices
-    assert lemma_suite(trials=25, seed=3).ok
-    assert len(calls) == 44
-
-
-def test_suites_on_one_dict_solve_each_family_graph_once(solve_counter):
-    spectra = {}
-    assert spectral.closed_forms_suite(spectra).ok
-    assert len(solve_counter) == 31
-    # bounds adds K_1..K_50 and C_3..C_50 to the 31 graphs closed-forms solved;
-    # C_3 = K_3 and C_5 = paley(5) are not solved again
-    assert bounds_suite(spectra).total == 129
-    assert len(solve_counter) == 31 + 96
-    assert len(spectra) == 127
-    assert not any(vals.flags.writeable for vals in spectra.values())
-
-
-SUITES = {
-    "lemma": lambda spectra: lemma_suite(trials=20, seed=1),
-    "trace": lambda spectra: spectral.trace_suite(trials=20, seed=1, spectra=spectra),
-    "closed-forms": spectral.closed_forms_suite,
-    "bounds": bounds_suite,
-}
-# graphs per shared_spectrum call: the family corpus on the suite's dict, and
-# each chunk of random trials on a fresh one (lemma: G and G - e per trial)
-FAMILY_CALLS = {"lemma": [], "trace": [32], "closed-forms": [31], "bounds": [129]}
-RANDOM_CALLS = {"lemma": [40], "trace": [20], "closed-forms": [], "bounds": []}
-
-
-@pytest.mark.parametrize("name", SUITES)
-def test_each_suite_asks_for_all_its_spectra_in_one_call(name, monkeypatch, solve_counter):
-    calls = []
-    real = spectral.shared_spectrum
-
-    def counting(spectra, graphs):
-        calls.append((spectra, real(spectra, graphs)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(spectral, "shared_spectrum", counting)
-    store = {}
-    result = SUITES[name](store)
-    assert result.ok
-    assert [len(vals) for spectra, vals in calls if spectra is store] == FAMILY_CALLS[name]
-    assert [len(vals) for spectra, vals in calls if spectra is not store] == RANDOM_CALLS[name]
-
-
-def test_suites_with_a_fresh_dict_solve_every_graph(solve_counter):
-    assert spectral.closed_forms_suite({}).ok
-    assert len(solve_counter) == 31
-    assert bounds_suite({}).ok
-    assert len(solve_counter) == 31 + 127
-    # 29 distinct family graphs (K_1 = empty(1) too), then the 5 random ones
-    # on a dict of their own
-    assert spectral.trace_suite(trials=5, seed=2, spectra={}).ok
-    assert len(solve_counter) == 31 + 127 + 29 + 5
-
-
-def test_lemma_suite_builds_each_reduced_graph_once(monkeypatch):
-    calls = []
-
-    def counting_delete_edge(g, e):
-        calls.append(e)
-        return delete_edge(g, e)
-
-    monkeypatch.setattr("graphenergy.bounds.delete_edge", counting_delete_edge)
-    assert lemma_suite(trials=25, seed=3).ok
-    assert len(calls) == 25
-
-
-def test_lemma_suite_solves_one_stack_per_chunk_with_the_same_results(monkeypatch, solver_calls):
+def test_lemma_suite_solves_one_stack_per_chunk_with_the_same_results(monkeypatch):
+    # the stacks per chunk are rows of tests/test_work.py
     real = bounds.edge_deletion_check
 
     def failing(whole, reduced):
@@ -531,14 +367,8 @@ def test_lemma_suite_solves_one_stack_per_chunk_with_the_same_results(monkeypatc
     # every trial fails, so each case line, trial number included, is compared
     monkeypatch.setattr(bounds, "edge_deletion_check", failing)
     one_chunk = lemma_suite(trials=200, seed=1)
-    assert [len(sizes) for sizes in solver_calls] == [314]
-    solver_calls.clear()
     monkeypatch.setattr(spectral, "_TRIAL_CHUNK", 64)
     result = lemma_suite(trials=200, seed=1)
-    # trials 0-63, 64-127, 128-191 and 192-199: one stack each, of the chunk's
-    # distinct matrices, so a matrix that two chunks share is solved in both
-    assert [len(sizes) for sizes in solver_calls] == [108, 110, 108, 16]
-    assert all(max(sizes) <= 12 for sizes in solver_calls)
     # each line holds lhs and rhs in full, so equal lines mean equal energies
     assert result.failures == one_chunk.failures and len(result.failures) == 200
 

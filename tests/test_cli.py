@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphenergy import bounds, cli, graphcore, spectral
-from graphenergy.graphcore import family_corpus, from_edge_list, write_edge_list
+from graphenergy.graphcore import from_edge_list, write_edge_list
 
 import golden
 
@@ -198,25 +198,24 @@ def golden_row(argv):
     return row
 
 
-@pytest.fixture
-def check_row(capsys, monkeypatch, tmp_path):
-    """Checks a golden row against cli.main, run in the empty tmp_path."""
-    monkeypatch.chdir(tmp_path)
+def run_bytes(argv):
+    """cli.main(argv): its exit code, and its stdout and stderr as bytes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue().encode(), err.getvalue().encode()
 
-    def run_bytes(argv):
-        code, out, err = run(capsys, *argv)
-        return code, out.encode(), err.encode()
 
-    def check(row):
-        assert golden.result(row, run_bytes) == row
-
-    return check
+def check_row(row):
+    """Checks a golden row against cli.main, run in the current directory."""
+    assert golden.result(row, run_bytes) == row
 
 
 @pytest.mark.parametrize(
     "row", [row for row in golden.ROWS if row.tier == "tier1"], ids=lambda row: row.argv
 )
-def test_output_matches_golden_digest(check_row, row):
+def test_output_matches_golden_digest(row, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
     check_row(row)
 
 
@@ -240,37 +239,6 @@ def test_every_pinned_digest_lives_once_in_the_golden_table():
 
 # ---------------------------------------------------------------------------
 # verify
-
-
-def test_verify_all_solves_each_family_graph_once(check_row, solve_counter, stores):
-    # lemma solves the 168 distinct graphs among its 100 G and 100 G - e;
-    # trace its 29 distinct family graphs and its 81 distinct random ones;
-    # then closed-forms the 12 family graphs trace did not, and bounds the 87
-    # that neither did.
-    check_row(golden_row("verify all --trials 100 --seed 0"))
-    assert len(solve_counter) == 168 + 29 + 81 + 12 + 87 == 377
-    # the 105 graphs with n > 12, all family graphs, are solved alone, once each
-    assert sum(n > 12 for n in solve_counter) == 105
-    # the run's store keeps the family corpus alone: random trials are solved a
-    # chunk at a time, each chunk on a dict of its own
-    lemma_chunk, family, trace_chunk = stores
-    corpus = [
-        *family_corpus(97, 10, (1, 2, 3, 5, 10, 25), (3, 4, 5, 10, 25), (1, 4)),
-        *family_corpus(200, 12, range(1, 51), range(3, 51)),
-    ]
-    assert set(family) == {g.adjacency.tobytes() for *_, g in corpus}
-    assert (len(lemma_chunk), len(family), len(trace_chunk)) == (168, 128, 81)
-
-
-def test_verify_lemma_solves_its_distinct_matrices_in_one_stack(check_row, solver_calls):
-    check_row(golden_row("verify lemma --trials 1000 --seed 1"))
-    # the 1000 graphs G and 1000 graphs G - e hold 1400 distinct matrices
-    assert len(solver_calls) == 1 and len(solver_calls[0]) == 1400
-
-
-def test_ratio_table_numeric_refuses_oversized_graph_before_any_solve(check_row, solve_counter):
-    check_row(golden_row("ratio-table ring-clique 64..65 --mode numeric"))
-    assert solve_counter == []
 
 
 def test_verify_usage_errors(capsys):

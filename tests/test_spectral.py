@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from graphenergy import spectral
 from graphenergy import tolerances as tol
-from graphenergy.bounds import EnergyReport, lemma_suite
+from graphenergy.bounds import EnergyReport
 from graphenergy.graphcore import (
     Graph,
     complete,
@@ -152,51 +152,15 @@ def _stacked(matrices, pad):
     return stack, sizes
 
 
-def _assert_stack_matches_lone_solves(spectra):
-    """Every spectrum a suite stored equals, byte for byte, a lone 2-D solve."""
-    for key, vals in spectra.items():
-        n = math.isqrt(len(key))
-        alone = jacobi_eigenvalues(np.frombuffer(key, dtype=bool).reshape(n, n))
-        assert vals.tobytes() == alone.tobytes(), n
-
-
-def test_lemma_suite_stack_gives_each_matrix_its_lone_spectrum(solver_calls, stores):
-    assert lemma_suite(trials=200, seed=1).ok
-    # one call on one fresh dict: a stack of the 314 distinct G and G - e
-    (spectra,) = stores
-    assert len(solver_calls) == 1 and len(solver_calls[0]) == len(spectra) == 314
-    _assert_stack_matches_lone_solves(spectra)
-
-
-def test_trace_suite_stack_gives_each_random_graph_its_lone_spectrum(solver_calls, stores):
-    spectra = {}
-    assert trace_suite(trials=100, seed=1, spectra=spectra).ok
-    # the family corpus on `spectra`: its 10 distinct graphs with n <= 12 in one
-    # stack and the 19 larger ones alone; then the 82 distinct random graphs in
-    # one stack, on a fresh dict
-    stacks = [sizes for sizes in solver_calls if sizes is not None]
-    assert [len(sizes) for sizes in stacks] == [10, 82] and max(map(max, stacks)) <= 12
-    assert solver_calls.count(None) == 19
-    family, randoms = stores
-    assert family is spectra and len(family) == 29 and len(randoms) == 82
-    _assert_stack_matches_lone_solves({k: v for k, v in family.items() if len(k) <= 12 * 12})
-    _assert_stack_matches_lone_solves(randoms)
-
-
-def test_trace_suite_over_several_chunks_matches_one_chunk(monkeypatch, solver_calls):
-    # every case fails, so each case line is compared
+def test_trace_suite_over_several_chunks_matches_one_chunk(monkeypatch):
+    # every case fails, so each case line is compared; the stacks per chunk
+    # are rows of tests/test_work.py
     monkeypatch.setattr(tol, "TRACE_TOL", -1.0)
     spectra = {}
     one_chunk = trace_suite(trials=200, seed=1, spectra=spectra)
-    assert [len(sizes) for sizes in solver_calls if sizes is not None] == [10, 159]
-    solver_calls.clear()
     monkeypatch.setattr(spectral, "_TRIAL_CHUNK", 64)
     # the family graphs are in `spectra` already, so only random stacks are solved
     result = trace_suite(trials=200, seed=1, spectra=spectra)
-    # trials 0-63, 64-127, 128-191 and 192-199: one stack each, of the
-    # chunk's distinct random graphs, and no lone solve
-    assert None not in solver_calls
-    assert [len(sizes) for sizes in solver_calls] == [57, 57, 53, 8]
     assert result.failures == one_chunk.failures and len(result.failures) == 32 + 200
 
 
@@ -261,26 +225,6 @@ def test_jacobi_stack_names_the_matrix_that_hits_the_sweep_cap(monkeypatch):
         jacobi_eigenvalues(stack, sizes)
 
 
-@pytest.fixture
-def sweep_calls(monkeypatch):
-    """Count the solver's sweeps by loop: "stack" or "scalar" per call, and
-    check that each sweep leaves the working matrix exactly symmetric."""
-    calls = []
-    for name, loop in (("_stack_sweep", "stack"), ("_jacobi_sweep", "scalar")):
-        real = getattr(spectral, name)
-
-        def counting(a, *args, real=real, loop=loop):
-            calls.append(loop)
-            real(a, *args)
-            # both loops copy updated rows to the matching columns (the
-            # scalar loop column p once per pivot row), which is right only
-            # while a equals its transpose
-            assert np.array_equal(a, np.swapaxes(a, -1, -2)), loop
-
-        monkeypatch.setattr(spectral, name, counting)
-    return calls
-
-
 def _gaussian_symmetric(n, seed):
     x = np.random.default_rng(seed).standard_normal((n, n))
     return x + x.T
@@ -316,82 +260,26 @@ def test_scalar_sweep_leaves_the_working_matrix_the_stack_sweep_leaves(matrix):
     assert sweeps > 10
 
 
-def test_a_list_of_one_graph_runs_the_scalar_loop(sweep_calls):
-    g = paley(101)
-    (vals,) = shared_spectrum({}, [g])
-    assert "stack" not in sweep_calls
-    assert vals.tobytes() == eigenvalues(g).tobytes()
-
-
-def test_the_last_live_matrix_of_a_stack_runs_the_scalar_loop(sweep_calls, monkeypatch):
-    contiguous = []
-    counting = spectral._jacobi_sweep
-
-    def recording(a, skip):
-        contiguous.append(a.flags.c_contiguous)
-        counting(a, skip)
-
-    monkeypatch.setattr(spectral, "_jacobi_sweep", recording)
-    # K_2 converges in the first sweep, and C_12 then sweeps alone as the
-    # whole 12 x 12 block; K_12 converges in one sweep too, and C_7 then
-    # sweeps alone as a[1, :7, :7], whose rows are 12 entries apart
-    for graphs, whole in (([complete(2), cycle(12)], True), ([complete(12), cycle(7)], False)):
-        sweep_calls.clear()
-        contiguous.clear()
-        vals = eigenvalues(graphs)
-        assert sweep_calls[:1] == ["stack"] and set(sweep_calls[1:]) == {"scalar"}
-        assert contiguous and set(contiguous) == {whole}
-        for v, g in zip(vals, graphs):
-            assert v.tobytes() == eigenvalues(g).tobytes()
-
-
-def test_every_sweep_leaves_the_working_matrix_exactly_symmetric(sweep_calls):
-    # sweep_calls checks the matrix after each sweep of either loop
-    eigenvalues(paley(13))
-    eigenvalues(cycle(12))
-    assert set(sweep_calls) == {"scalar"}
-    sweep_calls.clear()
-    eigenvalues([complete(2), cycle(12), paley(5), ring_of_cliques(3), cycle(7)])
-    assert sweep_calls[0] == "stack" and "scalar" in sweep_calls
-
-
-def test_eigenvalues_of_a_list_of_graphs_is_one_stack(solve_counter):
-    graphs = [complete(3), cycle(5), ring_of_cliques(3)]
-    vals = eigenvalues(graphs)
-    assert solve_counter == [3, 5, 9]
-    assert [v.tolist() for v in vals] == [eigenvalues(g).tolist() for g in graphs]
-
-
-def test_eigenvalues_stacks_the_small_graphs_and_solves_each_larger_one_alone(solver_calls):
+def test_eigenvalues_stacks_the_small_graphs_and_solves_each_larger_one_alone():
+    # which graphs are stacked and which solved alone: rows of tests/test_work.py
     graphs = [cycle(5), paley(13), complete(3)]
     vals = eigenvalues(graphs)
-    assert solver_calls == [[5, 3], None]
     for v, g in zip(vals, graphs):
         assert v.tobytes() == jacobi_eigenvalues(g.adjacency).tobytes()
     # one Graph is a list of one: a stack of one below the cutoff, a lone solve above
     assert eigenvalues(cycle(5)).tobytes() == vals[0].tobytes()
     assert eigenvalues(paley(13)).tobytes() == vals[1].tobytes()
-    assert solver_calls[2:] == [[5], None]
 
 
-def test_eigenvalues_never_stacks_family_graphs_above_the_cutoff(sweep_calls):
-    graphs = [paley(101), paley(97)]
-    vals = eigenvalues(graphs)
-    assert "stack" not in sweep_calls
-    for v, g in zip(vals, graphs):
-        assert v.tobytes() == jacobi_eigenvalues(g.adjacency).tobytes()
-
-
-def test_shared_spectrum_of_a_list_solves_the_new_matrices_as_one_stack(solver_calls):
+def test_shared_spectrum_of_a_list_solves_the_new_matrices_as_one_stack():
+    # its solves are a row of tests/test_work.py
     spectra = {}
     (k3,) = shared_spectrum(spectra, [complete(3)])
     got = shared_spectrum(spectra, [cycle(3), cycle(4), paley(5), cycle(4), cycle(5)])
-    assert solver_calls == [[3], [4, 5]]
     assert got[0] is k3 and got[1] is got[3] and got[2] is got[4]
     assert not any(vals.flags.writeable for vals in got)
     assert shared_spectrum(spectra, iter([cycle(4)]))[0] is got[1]
     assert shared_spectrum(spectra, []) == []
-    assert solver_calls == [[3], [4, 5]]
 
 
 def test_eigenvalues_sorted_descending():
@@ -554,25 +442,17 @@ def test_trace_suite_passes(family_spectra):
     assert result.passed == result.total > 25
 
 
-def test_trace_suite_case_count_is_32_family_graphs_plus_trials(solve_counter):
+def test_trace_suite_case_count_is_32_family_graphs_plus_trials(family_spectra):
     # 11 Paley primes <= 97, rings q = 3..10, 6 complete, 5 cycles, 2 empty
-    assert trace_suite(trials=0, seed=0, spectra={}).total == 32
-    assert trace_suite(trials=3, seed=5, spectra={}).total == 32 + 3
+    assert trace_suite(trials=0, seed=0, spectra=family_spectra).total == 32
+    assert trace_suite(trials=3, seed=5, spectra=family_spectra).total == 32 + 3
 
 
-def test_trace_suite_rejects_bad_seed_before_any_solve(monkeypatch):
-    calls = []
-    monkeypatch.setattr("graphenergy.spectral.jacobi_eigenvalues", calls.append)
-    with pytest.raises(ValueError):  # its message: a row of tests/test_api.py
-        trace_suite(trials=0, seed=-5, spectra={})
-    assert calls == []
-
-
-def test_shared_spectrum_solves_a_matrix_once_and_stores_it_read_only(solve_counter):
+def test_shared_spectrum_solves_a_matrix_once_and_stores_it_read_only():
+    # its solves are a row of tests/test_work.py
     spectra = {}
     (first,) = shared_spectrum(spectra, [paley(13)])
     assert shared_spectrum(spectra, [paley(13)])[0] is first
-    assert solve_counter == [13]
     assert list(spectra) == [paley(13).adjacency.tobytes()]
     assert not first.flags.writeable
     with pytest.raises(ValueError, match="^assignment destination is read-only$"):
@@ -580,22 +460,19 @@ def test_shared_spectrum_solves_a_matrix_once_and_stores_it_read_only(solve_coun
     assert np.allclose(first, paley_spectrum_closed(13), atol=1e-12)
 
 
-def test_shared_spectrum_solves_equal_graphs_built_under_two_names_once(solve_counter):
+def test_shared_spectrum_solves_equal_graphs_built_under_two_names_once():
+    # its solves are a row of tests/test_work.py
     spectra = {}
     (k3,) = shared_spectrum(spectra, [complete(3)])
     assert shared_spectrum(spectra, [cycle(3)])[0] is k3
-    assert solve_counter == [3]
     (c5,) = shared_spectrum(spectra, [paley(5)])
     assert shared_spectrum(spectra, [cycle(5)])[0] is c5
-    assert solve_counter == [3, 5]
     shared_spectrum(spectra, [paley(13)])
     shared_spectrum(spectra, [ring_of_cliques(3)])
-    assert solve_counter == [3, 5, 13, 9]
     # same n and m, different matrices
     two_triangles = from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     c6, triangles = shared_spectrum(spectra, [cycle(6), two_triangles])
     assert (c6[1], triangles[1]) == pytest.approx((1.0, 2.0))
-    assert solve_counter == [3, 5, 13, 9, 6, 6]
     assert len(spectra) == 6
     assert not any(vals.flags.writeable for vals in spectra.values())
 
