@@ -163,7 +163,7 @@ def ring_clique_ratio_upper(q: int) -> float:
     upper = ring_clique_energy_upper(q)  # checks q
     q = int(q)
     estimate = (q * q - q - 1) * math.sqrt(q + 1.0)
-    if not e0(q * q, q + 1) >= estimate:
+    if not _e0(q * q, q + 1) >= estimate:
         raise ArithmeticError("e0 fell below its lower estimate")
     return upper / estimate
 
@@ -214,7 +214,7 @@ def _paley_rows(block: list, energy: list) -> list[RatioRow]:
 def _ring_row(q, energy: float) -> RatioRow:
     q = int(q)
     n, k = q * q, q + 1
-    bound = e0(n, k)
+    bound = _e0(n, k)
     ratio, upper = energy / bound, ring_clique_ratio_upper(q)
     return RatioRow("ring_of_cliques", q, n, k, n * k // 2, energy, bound, ratio, ratio, upper)
 

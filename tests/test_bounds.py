@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -12,124 +13,22 @@ from graphenergy import bounds, spectral
 from graphenergy import tolerances as tol
 from graphenergy.bounds import (
     e0,
-    edge_deletion_check,
-    energy_report,
     lemma_suite,
     paley_energy_closed,
     paley_ratio_closed,
     paley_ratio_lower,
     ratio_table,
-    ring_clique_energy_closed,
     ring_clique_energy_upper,
     ring_clique_ratio_upper,
 )
-from graphenergy.graphcore import (
-    complete,
-    delete_edge,
-    family_params,
-    from_edge_list,
-    paley,
-    paley_primes,
-    random_graph,
-    ring_of_cliques,
-)
-from graphenergy.spectral import eigenvalues, energy
+from graphenergy.graphcore import family_params, paley_primes, random_graph
 
 from test_api import FAMILY_ENTRY_POINTS
-
-
-def path3():
-    return from_edge_list(3, [(0, 1), (1, 2)])
-
-
-# ---------------------------------------------------------------------------
-# e0
-
-
-def test_e0_zero_regular():
-    for n in (1, 2, 5, 9):
-        assert e0(n, 0) == 0.0
-
-
-def test_e0_complete_case_is_exact():
-    # k = n-1 collapses to 2(n-1)
-    assert e0(5, 4) == 8.0
-    for n in range(2, 40):
-        assert e0(n, n - 1) == pytest.approx(2 * (n - 1), abs=1e-12)
-
-
-def test_e0_direct_value():
-    # 6 + sqrt(2736), 40-digit reference evaluation
-    assert e0(25, 6) == pytest.approx(58.306787322488084, abs=1e-12)
-
-
-def test_e0_accepts_integral_numbers_of_any_type():
-    assert e0(np.int64(25), np.uint8(6)) == e0(25.0, 6) == e0(25, 6)
-
-
-# ---------------------------------------------------------------------------
-# energy ratio
-
-
-def test_energy_ratio_complete_graph_hits_the_bound():
-    report = energy_report(complete(5))
-    assert report.ratio == pytest.approx(1.0, abs=tol.BOUND_SLACK)
-    assert report.k == 4
-    assert report.e0 == pytest.approx(8.0, abs=1e-12)
-    assert report.spectral_radius == pytest.approx(4.0, abs=1e-10)
-    assert report.energy == pytest.approx(8.0, abs=1e-9)
-
-
-def test_energy_ratio_paley_13():
-    report = energy_report(paley(13))
-    # (1 + sqrt(13)) / (1 + sqrt(14)), 40-digit reference evaluation
-    assert report.ratio == pytest.approx(0.9712956672724611, abs=1e-9)
-
-
-def test_energy_ratio_ring_3():
-    report = energy_report(ring_of_cliques(3))
-    # 16 / (4 + sqrt(160)), 40-digit reference evaluation
-    assert report.ratio == pytest.approx(0.9610122934081686, abs=1e-9)
-    assert report.energy == pytest.approx(16.0, abs=1e-9)
+from test_values import deletion_check
 
 
 # ---------------------------------------------------------------------------
 # edge-deletion inequality
-
-
-def _deletion_check(g, e):
-    return edge_deletion_check(eigenvalues(g), eigenvalues(delete_edge(g, e)))
-
-
-def test_edge_deletion_check_k2_is_tight():
-    check = _deletion_check(complete(2), (0, 1))
-    assert check.lhs == pytest.approx(2.0, abs=1e-10)
-    assert check.rhs == pytest.approx(2.0, abs=1e-10)
-    assert check.holds
-
-
-def test_edge_deletion_check_path3_end_edge():
-    check = _deletion_check(path3(), (0, 1))
-    assert check.lhs == pytest.approx(2 * math.sqrt(2), abs=1e-10)
-    assert check.rhs == pytest.approx(4.0, abs=1e-10)
-    assert check.holds
-
-
-def test_edge_deletion_check_triangle():
-    check = _deletion_check(complete(3), (0, 1))
-    assert check.lhs == pytest.approx(4.0, abs=1e-10)
-    assert check.rhs == pytest.approx(2.0 + 2 * math.sqrt(2), abs=1e-10)
-    assert check.holds
-
-
-def test_edge_deletion_check_fails_when_radius_grows():
-    # E(K3) <= E(P3) + 2 still holds, but l1(G - e) > l1(G) must fail it
-    whole = eigenvalues(complete(3))
-    reduced = eigenvalues(path3())
-    reduced[0] = whole[0] + 1e-6
-    check = edge_deletion_check(whole, reduced)
-    assert check.lhs <= check.rhs
-    assert not check.holds
 
 
 @given(
@@ -141,18 +40,11 @@ def test_edge_deletion_check_fails_when_radius_grows():
 def test_edge_deletion_inequality_on_random_graphs(n, seed, pick):
     mmax = n * (n - 1) // 2
     g = random_graph(n, 1 + seed % mmax, seed)
-    assert _deletion_check(g, g.edges()[pick % g.m]).holds
+    assert deletion_check(g, g.edges()[pick % g.m]).holds
 
 
 # ---------------------------------------------------------------------------
 # closed forms and chains
-
-
-def test_paley_energy_closed_values():
-    # (p-1)(1+sqrt(p))/2, 40-digit reference evaluations
-    assert paley_energy_closed(5) == pytest.approx(6.47213595499958, abs=1e-12)
-    assert paley_energy_closed(13) == pytest.approx(27.633307652783937, abs=1e-12)
-    assert paley_energy_closed(17) == pytest.approx(40.984845004941285, abs=1e-12)
 
 
 def test_scalar_paley_closed_forms_build_no_block(monkeypatch):
@@ -166,14 +58,7 @@ def test_scalar_paley_closed_forms_build_no_block(monkeypatch):
         assert type(got) is float and got == want[name], name
 
 
-def test_paley_energy_closed_matches_eigensolver():
-    for p in (5, 13, 17, 29):
-        assert paley_energy_closed(p) == pytest.approx(energy(paley(p)), abs=1e-8)
-
-
 def test_paley_energy_exact_for_all_p_up_to_200(paley_spectra_200):
-    import numpy as np
-
     for p, vals in paley_spectra_200.items():
         solver_energy = float(np.abs(vals).sum())
         assert abs(solver_energy - paley_energy_closed(p)) <= 1e-6, p
@@ -184,41 +69,9 @@ def test_paley_energy_exceeds_half_p_sqrt_p():
         assert paley_energy_closed(p) > p**1.5 / 2.0
 
 
-def test_paley_ratio_closed_values():
-    # (1+sqrt(p))/(1+sqrt(p+1)), 40-digit reference evaluations
-    assert paley_ratio_closed(13) == pytest.approx(0.9712956672724611, abs=1e-15)
-    assert paley_ratio_closed(101) == pytest.approx(0.9955286909175869, abs=1e-15)
-
-
 def test_paley_ratio_lower_chain():
-    # sqrt(13)/(sqrt(13)+2), 40-digit reference evaluation
-    assert paley_ratio_lower(13) == pytest.approx(0.6432108276746691, abs=1e-15)
     for p in paley_primes(5, 2000):
         assert paley_ratio_lower(p) < paley_ratio_closed(p) < 1.0
-
-
-def test_ring_clique_energy_upper_values():
-    assert ring_clique_energy_upper(3) == 30.0
-    assert ring_clique_energy_upper(5) == 90.0
-    assert ring_clique_energy_upper(10) == 380.0
-
-
-def test_ring_clique_energy_closed_values():
-    assert ring_clique_energy_closed(3) == pytest.approx(16.0, abs=1e-10)
-    assert ring_clique_energy_closed(3) <= ring_clique_energy_upper(3)
-    for q in range(3, 7):
-        assert ring_clique_energy_closed(q) == pytest.approx(
-            energy(ring_of_cliques(q)), abs=1e-7
-        )
-
-
-def test_ring_clique_ratio_upper_values():
-    assert ring_clique_ratio_upper(3) == 3.0  # 30 / (5 * 2), uninformative small-q case
-    # 992 / e0(256, 17), 40-digit reference evaluation
-    tight = ring_clique_energy_upper(16) / e0(256, 17)
-    assert tight == pytest.approx(0.95857193020505, abs=1e-12)
-    # 39800 / (9899 sqrt(101)), 40-digit reference evaluation
-    assert ring_clique_ratio_upper(100) == pytest.approx(0.40006546287865, abs=1e-12)
 
 
 def test_ring_clique_ratio_upper_reads_numpy_integers_as_ints():
@@ -237,21 +90,23 @@ def test_ring_clique_tight_never_exceeds_crude():
 
 def test_ring_clique_ratio_upper_checks_the_e0_estimate(monkeypatch):
     assert type(ring_clique_ratio_upper(4)) is float
-    monkeypatch.setattr(bounds, "e0", lambda n, k: 0.0)
+    monkeypatch.setattr(bounds, "_e0", lambda n, k: 0.0)
     with pytest.raises(ArithmeticError, match="^e0 fell below its lower estimate$"):
         ring_clique_ratio_upper(4)
 
 
+def test_paley_closed_forms_check_their_proof_chain(monkeypatch):
+    # with a square root of 0, the energy (p-1)/2 falls below p^(3/2)/2 and
+    # the ratio 1/1 reaches 1, the top of its bracket
+    monkeypatch.setattr(bounds, "math", types.SimpleNamespace(sqrt=lambda x: 0.0))
+    with pytest.raises(ArithmeticError, match=r"^closed-form energy fell below p\^\(3/2\)/2$"):
+        paley_energy_closed(13)
+    with pytest.raises(ArithmeticError, match="^ratio left its proven bracket$"):
+        paley_ratio_closed(13)
+
+
 # ---------------------------------------------------------------------------
 # ratio tables
-
-
-def test_ratio_table_paley_modes_agree():
-    numeric = list(ratio_table("paley", [13], use_closed_form=False))[0]
-    closed = list(ratio_table("paley", [13], use_closed_form=True))[0]
-    assert numeric.ratio == pytest.approx(closed.ratio, abs=tol.CLOSED_SPECTRUM_TOL)
-    assert numeric.energy == pytest.approx(closed.energy, abs=1e-6)
-    assert (numeric.n, numeric.k, numeric.m) == (closed.n, closed.k, closed.m) == (13, 6, 39)
 
 
 def test_ratio_table_modes_agree_across_families():
@@ -262,14 +117,6 @@ def test_ratio_table_modes_agree_across_families():
             assert numeric.ratio == pytest.approx(closed.ratio, abs=tol.CLOSED_SPECTRUM_TOL)
             assert numeric.ratio == numeric.energy / numeric.e0
             assert numeric._replace(energy=closed.energy, ratio=closed.ratio) == closed
-
-
-def test_ratio_table_ring_3_closed():
-    row, = ratio_table("ring_of_cliques", [3], use_closed_form=True)
-    assert row.energy == pytest.approx(16.0, abs=1e-10)
-    assert row.ratio == pytest.approx(0.9610122934081686, abs=1e-10)
-    assert (row.n, row.k, row.m) == (9, 4, 18)
-    assert row.paper_bound == pytest.approx(3.0, abs=1e-12)
 
 
 def test_ratio_table_row_fields_are_consistent():
@@ -326,13 +173,6 @@ def test_paley_block_rows_equal_the_scalar_closed_forms(block):
         assert row.ratio == row.energy / row.e0
         assert row[:5] == ("paley", p, p, k, p * k // 2)
         assert all(type(x) is int for x in row[1:5]) and all(type(x) is float for x in row[5:])
-
-
-def test_paley_rows_carry_chain_bound():
-    row, = ratio_table("paley", [13], use_closed_form=True)
-    assert row.closed_ratio == pytest.approx(0.9712956672724611, abs=1e-12)
-    assert row.paper_bound == pytest.approx(0.6432108276746691, abs=1e-12)
-    assert row.ratio > row.paper_bound
 
 
 # ---------------------------------------------------------------------------

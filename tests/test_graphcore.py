@@ -477,8 +477,9 @@ def test_write_read_files(tmp_path):
 
 
 @st.composite
-def graphs(draw, max_n=10):
-    n = draw(st.integers(min_value=0, max_value=max_n))
+def graphs(draw, min_n=0):
+    """Seeded random graphs on min_n..10 vertices, with any number of edges."""
+    n = draw(st.integers(min_value=min_n, max_value=10))
     mmax = n * (n - 1) // 2
     m = draw(st.integers(min_value=0, max_value=mmax))
     seed = draw(st.integers(min_value=0, max_value=2**32))

@@ -25,21 +25,14 @@ from graphenergy.spectral import closed_forms_suite, eigenvalues, trace_suite
 
 from test_api import REFUSALS
 from test_cli import check_row, golden_row
+from test_values import lapack
 
 # what the recorder wraps: the first four in spectral, where they live; each
 # of the others in every module that holds it, recording its last argument
 SOLVER = ("jacobi_eigenvalues", "shared_spectrum", "_jacobi_sweep", "_stack_sweep")
 ARGUMENTS = ("delete_edge", "is_prime", "check_paley_parameter", "check_ring_parameter",
-             "ring_clique_energy_closed")
+             "ring_clique_energy_closed", "e0")
 MODULES = (bounds, cli, finitefield, graphcore, spectral)
-
-
-def lapack(matrix, sizes=None):
-    """jacobi_eigenvalues' spectra, from LAPACK."""
-    a = np.asarray(matrix, dtype=np.float64)
-    if sizes is None:
-        return np.linalg.eigvalsh(a)[::-1]
-    return [np.linalg.eigvalsh(m[:n, :n])[::-1] for m, n in zip(a, sizes)]
 
 
 class Recorder:
@@ -233,11 +226,12 @@ WORK = [
                 [cycle(6), from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])]),
          {"solves": [[3], [5], 13, [9], [6, 6]], "stores": [6]}),
     # a table row checks its parameter once, in closed mode and in numeric
-    # mode, which computes each row in closed form first
+    # mode, which computes each row in closed form first; its e0 is of
+    # checked ints, so it is not checked again by the public e0
     *(work(f"ratio_table {family} {mode}",
            lambda s, family=family, params=params, mode=mode: list(
                ratio_table(family, params, mode == "closed")),
-           {f"bounds.check_{family.partition('_')[0]}_parameter": params})
+           {f"bounds.check_{family.partition('_')[0]}_parameter": params, "bounds.e0": 0})
       for family, params in (("paley", [13, 17]), (RING, [3, 4])) for mode in ("closed", "numeric")),
     # a closed ring table reads a one-shot iterator once, and computes its rows
     work("ratio_table ring_of_cliques closed, one-shot",
