@@ -87,45 +87,50 @@ def _jacobi_sweep(a: np.ndarray, skip: float) -> None:
 
     Every scalar is read and written as a Python float through a memoryview
     of the same buffer (one per row of a, one flat one of the 2 x 2 S), so
-    each read sees the live value. numpy's scalar path costs about twice as
-    much per access (a.item(p, q) 0.08 us against 0.03 us, a store into S
-    0.07 us against 0.03 us), and a paley(401) solve makes about 1.2M pair
-    reads and 1.2M more scalar accesses in its rotations. The product is
-    rot.dot(blk, out=prod) and the update two contiguous row subtracts,
-    cheaper calls than matmul and the strided blk -= prod for the same
-    arithmetic."""
+    each read sees the live value, at about half numpy's scalar cost. The
+    columns are written through views of a.T made once per sweep (0.29 us
+    against 0.44 us for a[:, q] = row_q at n = 401), and the product, the
+    two row subtracts and the rotation are calls bound once per sweep, with
+    a positional out (0.34 us against 0.42 us a subtract). The pair scan
+    tests low < apq < skip, low = -skip: 44 ns a pair against 51 ns for
+    abs(apq) < skip, and the same test on every finite a_pq as skip > 0
+    (the solver refuses non-finite input and sweeps only while off(A) >=
+    threshold > 0). paley(401) makes about 1.2M pair reads; its solve took
+    0.54 s before these three changes and 0.47 s after (one 2-CPU Xeon core)."""
     n = a.shape[0]
     rot = np.empty((2, 2))
     prod = np.empty((2, n))
     prod_p, prod_q = prod
     rot_flat = memoryview(rot).cast("B").cast("d")
-    rows = list(a)
+    rows, cols = list(a), list(a.T)
     views = [memoryview(row) for row in rows]
+    dot, subtract, sqrt, rotation = rot.dot, np.subtract, math.sqrt, _rotation
+    low = -skip
     for p in range(n - 1):
         row_p, view_p = rows[p], views[p]
         rotated = False
         for q, apq in enumerate(view_p[p + 1 :], p + 1):
-            if abs(apq) < skip:
+            if low < apq < skip:
                 continue
             row_q, view_q = rows[q], views[q]
             app, aqq = view_p[p], view_q[q]
-            t, s, half = _rotation(app, aqq, apq, math.sqrt)
+            t, s, half = rotation(app, aqq, apq, sqrt)
             # the correction form blk - S @ blk, not the direct (I - S) @ blk:
             # for tiny angles c rounds to 1.0 and the direct form stops
             # contracting the off-diagonal mass
             rot_flat[0] = rot_flat[3] = s * half
             rot_flat[1] = s
             rot_flat[2] = -s
-            rot.dot(a[p : q + 1 : q - p], out=prod)  # rows p and q, a view
-            np.subtract(row_p, prod_p, out=row_p)
-            np.subtract(row_q, prod_q, out=row_q)
+            dot(a[p : q + 1 : q - p], prod)  # rows p and q, a view
+            subtract(row_p, prod_p, row_p)
+            subtract(row_q, prod_q, row_q)
             view_p[p] = app - t * apq
             view_q[q] = aqq + t * apq
             view_p[q] = view_q[p] = 0.0
-            a[:, q] = row_q
+            cols[q][...] = row_q
             rotated = True
         if rotated:
-            a[:, p] = row_p.copy()
+            cols[p][...] = row_p
 
 
 def _stack_sweep(a: np.ndarray, live: np.ndarray, skip: np.ndarray) -> None:

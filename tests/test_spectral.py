@@ -25,7 +25,6 @@ from graphenergy.spectral import (
     eigenvalues,
     energy,
     jacobi_eigenvalues,
-    paley_spectrum_closed,
     ring_clique_spectrum_closed,
     shared_spectrum,
     trace_suite,
@@ -216,6 +215,23 @@ def test_scalar_sweep_leaves_the_working_matrix_the_stack_sweep_leaves(matrix):
     assert sweeps > 10
 
 
+def test_scalar_sweep_rotates_at_the_skip_boundary_as_the_stack_sweep_does():
+    # the scalar scan skips low < a_pq < skip, low = -skip, and the stack scan
+    # rotates |a_pq| >= skip: a_pq = -skip and +skip rotate, the entries one
+    # ulp inside and -0.0 do not (a zero a_pq would divide by zero)
+    skip = 0.5
+    below, above = np.nextafter(-skip, 0.0), np.nextafter(skip, 0.0)
+    a = np.diag([1.0, 0.0, -1.0, 0.25, 0.25, 0.0, 0.0, 0.0])
+    for (p, q), apq in {(0, 2): -skip, (1, 5): -0.0, (1, 6): below, (3, 4): skip, (6, 7): above}.items():
+        a[p, q] = a[q, p] = apq
+    stack = a[None].copy()
+    spectral._jacobi_sweep(a, skip)
+    spectral._stack_sweep(stack, np.array([0]), np.array([skip]))
+    assert a.tobytes() == stack[0].tobytes()
+    assert a[0, 2] == a[3, 4] == 0.0
+    assert (a[1, 6], a[6, 7]) == (below, above) and np.signbit(a[1, 5])
+
+
 def test_eigenvalues_stacks_the_small_graphs_and_solves_each_larger_one_alone():
     # which graphs are stacked and which solved alone: rows of tests/test_work.py
     graphs = [cycle(5), paley(13), complete(3)]
@@ -324,7 +340,7 @@ def test_shared_spectrum_solves_a_matrix_once_and_stores_it_read_only():
     assert not first.flags.writeable
     with pytest.raises(ValueError, match="^assignment destination is read-only$"):
         first[0] = 0.0
-    assert np.allclose(first, paley_spectrum_closed(13), atol=1e-12)
+    assert first.tobytes() == jacobi_eigenvalues(paley(13).adjacency).tobytes()
 
 
 def test_shared_spectrum_solves_equal_graphs_built_under_two_names_once():
@@ -339,7 +355,7 @@ def test_shared_spectrum_solves_equal_graphs_built_under_two_names_once():
     # same n and m, different matrices
     two_triangles = from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     c6, triangles = shared_spectrum(spectra, [cycle(6), two_triangles])
-    assert (c6[1], triangles[1]) == pytest.approx((1.0, 2.0))
+    assert (c6[1], triangles[1]) == pytest.approx((1.0, 2.0), rel=0, abs=1e-12)
     assert len(spectra) == 6
     assert not any(vals.flags.writeable for vals in spectra.values())
 
